@@ -46,6 +46,10 @@ int main(int argc, char** argv) {
 
   AlsRecommender als(data, aopt);
   const auto history = als.run();
+  if (history.empty()) {
+    std::printf("no iterations run\n");
+    return 0;
+  }
 
   TextTable table({"iter", "train RMSE", "test RMSE", "factor+solve ms"});
   for (const auto& it : history) {

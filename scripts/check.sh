@@ -212,10 +212,11 @@ if [[ "${CHAOS}" == 1 ]]; then
   done
   # Env-spec smoke: chaos installed through IBCHOL_CHAOS (the latch path,
   # not install_svc_chaos). Stall/delay faults only — they perturb timing,
-  # never results, so the bit-identity suite must still pass verbatim.
+  # never results, so the bit-identity suites of all three lanes (fp32/fp64
+  # chunk and canonical, bf16/fp16 chunk, tiled) must still pass verbatim.
   IBCHOL_CHAOS='seed=2,stall_rate=0.02,stall_ms=1,writeback_delay_rate=0.02,writeback_delay_ms=0.5' \
     ctest --test-dir build --output-on-failure -j "$(nproc)" \
-    -R 'BatchService.BitIdentical'
+    -R 'BatchService.BitIdentical|ServiceMixed.SubmitMixedBitIdentical|TiledService.BitIdentical'
   echo "chaos check: overload/fault suites clean under ASan+UBSan and TSAN (seeds 1 2 3), env-spec smoke bit-identical"
 fi
 

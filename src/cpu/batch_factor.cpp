@@ -65,7 +65,7 @@ FactorResult factor_batch_cpu(const BatchLayout& layout, std::span<T> data,
   const int nb = std::min(options.nb, layout.n());
   const TileProgram program =
       build_tile_program(layout.n(), nb, options.looking);
-  return run_chunk_pipeline(layout, data, &program, options, info);
+  return run_chunk_pipeline<T>(layout, data, &program, options, info);
 }
 
 template <typename T>
@@ -82,7 +82,7 @@ FactorResult factor_batch_cpu_with_program(const BatchLayout& layout,
   IBCHOL_CHECK(info.empty() ||
                    info.size() >= static_cast<std::size_t>(layout.batch()),
                "info span too small for batch");
-  return run_chunk_pipeline(layout, data, &program, options, info);
+  return run_chunk_pipeline<T>(layout, data, &program, options, info);
 }
 
 FactorResult factor_batch_cpu_mixed(const BatchLayout& layout,
@@ -99,14 +99,14 @@ FactorResult factor_batch_cpu_mixed(const BatchLayout& layout,
                "info span too small for batch");
   IBCHOL_TRACE_SPAN("factor_batch", "cpu", layout.batch());
   if (options.unroll == Unroll::kFull) {
-    return run_chunk_pipeline_mixed(layout, data, nullptr, options, storage,
-                                    info);
+    return run_chunk_pipeline<float>(layout, data, nullptr, options, info,
+                                     storage);
   }
   const int nb = std::min(options.nb, layout.n());
   const TileProgram program =
       build_tile_program(layout.n(), nb, options.looking);
-  return run_chunk_pipeline_mixed(layout, data, &program, options, storage,
-                                  info);
+  return run_chunk_pipeline<float>(layout, data, &program, options, info,
+                                   storage);
 }
 
 FactorResult factor_batch_cpu_mixed_with_program(
@@ -121,8 +121,8 @@ FactorResult factor_batch_cpu_mixed_with_program(
   IBCHOL_CHECK(info.empty() ||
                    info.size() >= static_cast<std::size_t>(layout.batch()),
                "info span too small for batch");
-  return run_chunk_pipeline_mixed(layout, data, &program, options, storage,
-                                  info);
+  return run_chunk_pipeline<float>(layout, data, &program, options, info,
+                                   storage);
 }
 
 template FactorResult factor_batch_cpu<float>(const BatchLayout&,

@@ -263,7 +263,7 @@ inline void run_lane_block(const ChunkExecPlan<T>& plan, T* base,
                                          plan.triangle);
     } else {
       plan.vk->run_program(*plan.program, plan.math, base, estride, local_info,
-                           plan.triangle, plan.vec_nt_stores);
+                           plan.triangle);
     }
   } else if (plan.fused_spec) {
     execute_fused_lane_block<T>(plan.n, plan.math, base, estride, local_info,
@@ -325,21 +325,23 @@ void note_exec_dispatch(CpuExec exec) {
   }
 }
 
+namespace {
+
+// Executor resolution shared by plan_chunk_exec and plan_chunk_exec_mixed:
+// everything about a plan except its packing policy and unit geometry.
+//
+// kAuto consults the measured dispatch table. When it picks the
+// vectorized executor the whole-matrix pipeline (fused/blocked) is the
+// winning strategy at every supported n, so full unrolling is implied;
+// when it picks the specialized executor the caller's unrolling choice
+// stands (the table only fires for n where both unrollings are valid).
 template <typename T>
-ChunkExecPlan<T> plan_chunk_exec(const BatchLayout& layout, const T* data,
-                                 const TileProgram* program,
-                                 const CpuFactorOptions& options) {
-  IBCHOL_CHECK(layout.kind() != LayoutKind::kCanonical,
-               "the chunk pipeline runs interleaved layouts");
+ChunkExecPlan<T> resolve_executor(const BatchLayout& layout,
+                                  const TileProgram* program,
+                                  const CpuFactorOptions& options) {
   ChunkExecPlan<T> plan;
   plan.layout = layout;
   plan.n = layout.n();
-
-  // kAuto: consult the measured dispatch table. When it picks the
-  // vectorized executor the whole-matrix pipeline (fused/blocked) is the
-  // winning strategy at every supported n, so full unrolling is implied;
-  // when it picks the specialized executor the caller's unrolling choice
-  // stands (the table only fires for n where both unrollings are valid).
   plan.exec = options.exec;
   plan.whole_matrix = options.unroll == Unroll::kFull;
   if (plan.exec == CpuExec::kAuto) {
@@ -358,7 +360,6 @@ ChunkExecPlan<T> plan_chunk_exec(const BatchLayout& layout, const T* data,
     // Tier resolution (cpuid + IBCHOL_SIMD_ISA override) happens once, out
     // here; the intrinsic bodies then run with no per-block branching.
     plan.vk = &vec_kernels<T>(options.isa);
-    plan.vec_nt_stores = std::getenv("IBCHOL_VEC_NT_STORES") != nullptr;
   }
   plan.need_wm_scratch =
       plan.whole_matrix && (plan.exec == CpuExec::kVectorized
@@ -366,6 +367,18 @@ ChunkExecPlan<T> plan_chunk_exec(const BatchLayout& layout, const T* data,
                                 : !plan.fused_spec);
   plan.wm_scratch_elems =
       plan.need_wm_scratch ? whole_matrix_scratch_elems(plan.n) : 0;
+  return plan;
+}
+
+}  // namespace
+
+template <typename T>
+ChunkExecPlan<T> plan_chunk_exec(const BatchLayout& layout, const T* data,
+                                 const TileProgram* program,
+                                 const CpuFactorOptions& options) {
+  IBCHOL_CHECK(layout.kind() != LayoutKind::kCanonical,
+               "the chunk pipeline runs interleaved layouts");
+  ChunkExecPlan<T> plan = resolve_executor<T>(layout, program, options);
 
   const std::int64_t padded = layout.padded_batch();
   const std::int64_t elems = static_cast<std::int64_t>(plan.n) * plan.n;
@@ -426,14 +439,81 @@ ChunkExecPlan<T> plan_chunk_exec(const BatchLayout& layout, const T* data,
   return plan;
 }
 
-template <typename T>
-void pack_unit(const ChunkExecPlan<T>& plan, const T* data, std::int64_t unit,
+namespace {
+
+// The conversion stages only touch the element rows the factorization
+// reads and writes: the stored triangle. Column j (elements j·n .. j·n+n,
+// column-major) keeps rows [j, n) under kLower and [0, j] under kUpper —
+// a contiguous element-row run either way, which halves the conversion
+// work against a full-square sweep. The other triangle's stored words are
+// left exactly as submitted (the full-square round trip would have
+// rewritten them bit-identically: widen is exact and RN-even narrowing of
+// an exactly-widened value restores the original word, so skipping it
+// changes nothing but the traffic). The matching scratch region stays
+// unwritten, which is fine for the same reason the fp32 in-place paths
+// are: no compute body dereferences the unfactored triangle.
+//
+// Per column the run is `rows` element-rows of `lanes` elements at
+// `stride`; when the stride equals the unit's lane count (a chunked layout
+// walked in whole-chunk units) the rows abut and the whole run is one
+// contiguous conversion call.
+struct TriangleRun {
+  std::int64_t e0 = 0;    ///< first element row of the run
+  std::int64_t rows = 0;  ///< element rows in the run
+};
+
+inline TriangleRun column_run(int n, int j, Triangle triangle) {
+  const std::int64_t lo = triangle == Triangle::kLower ? j : 0;
+  const std::int64_t hi = triangle == Triangle::kLower ? n : j + 1;
+  return {static_cast<std::int64_t>(j) * n + lo, hi - lo};
+}
+
+// Where a 16-bit unit's rows live in the batch: the chunked layout's unit
+// is one whole layout chunk (its own address map), the simple layout's a
+// lane window of the padded-batch stride.
+struct UnitRows {
+  std::int64_t offset = 0;  ///< element offset of the unit's first row
+  std::int64_t stride = 0;  ///< elements between consecutive rows
+};
+
+inline UnitRows unit_rows(const ChunkExecPlan<float>& plan, std::int64_t c0) {
+  if (plan.layout.kind() == LayoutKind::kInterleavedChunked) {
+    return {static_cast<std::int64_t>(plan.layout.chunk_base(c0)),
+            plan.layout.chunk()};
+  }
+  return {c0, plan.layout.padded_batch()};
+}
+
+}  // namespace
+
+template <typename T, typename S>
+void pack_unit(const ChunkExecPlan<T>& plan, const S* data, std::int64_t unit,
                T* scratch) {
   IBCHOL_TRACE_SPAN("pack", "pipeline", unit);
   const std::int64_t c0 = plan.first_lane(unit);
-  pack_chunk(data + c0, plan.layout.padded_batch(), scratch,
-             plan.lanes_of(unit),
-             static_cast<std::int64_t>(plan.n) * plan.n);
+  const std::int64_t lanes = plan.lanes_of(unit);
+  if constexpr (std::is_same_v<S, T>) {
+    pack_chunk(data + c0, plan.layout.padded_batch(), scratch, lanes,
+               static_cast<std::int64_t>(plan.n) * plan.n);
+  } else {
+    static_assert(std::is_same_v<T, float> &&
+                      std::is_same_v<S, std::uint16_t>,
+                  "16-bit storage accumulates in fp32");
+    const UnitRows at = unit_rows(plan, c0);
+    const S* src = data + at.offset;
+    for (int j = 0; j < plan.n; ++j) {
+      const TriangleRun run = column_run(plan.n, j, plan.triangle);
+      if (at.stride == lanes) {
+        widen_row(plan.convert_isa, plan.storage, src + run.e0 * at.stride,
+                  scratch + run.e0 * lanes, run.rows * lanes);
+        continue;
+      }
+      for (std::int64_t e = run.e0; e < run.e0 + run.rows; ++e) {
+        widen_row(plan.convert_isa, plan.storage, src + e * at.stride,
+                  scratch + e * lanes, lanes);
+      }
+    }
+  }
 }
 
 template <typename T>
@@ -484,42 +564,69 @@ void factor_unit(const ChunkExecPlan<T>& plan, T* data, std::int64_t unit,
   }
 }
 
-template <typename T>
-void writeback_unit(const ChunkExecPlan<T>& plan, const T* scratch, T* data,
+template <typename T, typename S>
+void writeback_unit(const ChunkExecPlan<T>& plan, const T* scratch, S* data,
                     std::int64_t unit, ChunkUnitCounters& counters) {
   IBCHOL_TRACE_SPAN("writeback", "pipeline", unit);
   const std::int64_t c0 = plan.first_lane(unit);
   const std::int64_t lanes = plan.lanes_of(unit);
-  const std::int64_t elems = static_cast<std::int64_t>(plan.n) * plan.n;
-  unpack_chunk(scratch, lanes, data + c0, plan.layout.padded_batch(), elems,
-               plan.nt_stores);
-  if (plan.nt_stores) counters.nt_store_bytes += elems * lanes * sizeof(T);
-}
-
-template <typename T>
-void run_unit(const ChunkExecPlan<T>& plan, T* data, std::int64_t unit,
-              T* pack_scratch, T* wm_scratch, std::span<std::int32_t> info,
-              std::int64_t& failed, std::int64_t& first_failed,
-              ChunkUnitCounters& counters) {
-  if (plan.pack_lanes > 0) {
-    pack_unit(plan, data, unit, pack_scratch);
-    factor_unit(plan, data, unit, pack_scratch, wm_scratch, info, failed,
-                first_failed, counters);
-    writeback_unit(plan, pack_scratch, data, unit, counters);
+  if constexpr (std::is_same_v<S, T>) {
+    const std::int64_t elems = static_cast<std::int64_t>(plan.n) * plan.n;
+    unpack_chunk(scratch, lanes, data + c0, plan.layout.padded_batch(), elems,
+                 plan.nt_stores);
+    if (plan.nt_stores) counters.nt_store_bytes += elems * lanes * sizeof(T);
   } else {
-    factor_unit(plan, data, unit, pack_scratch, wm_scratch, info, failed,
-                first_failed, counters);
+    const UnitRows at = unit_rows(plan, c0);
+    S* dst = data + at.offset;
+    std::int64_t converted = 0;
+    for (int j = 0; j < plan.n; ++j) {
+      const TriangleRun run = column_run(plan.n, j, plan.triangle);
+      converted += run.rows * lanes;
+      if (at.stride == lanes) {
+        narrow_row(plan.convert_isa, plan.storage, scratch + run.e0 * lanes,
+                   dst + run.e0 * at.stride, run.rows * lanes,
+                   plan.nt_stores);
+        continue;
+      }
+      for (std::int64_t e = run.e0; e < run.e0 + run.rows; ++e) {
+        narrow_row(plan.convert_isa, plan.storage, scratch + e * lanes,
+                   dst + e * at.stride, lanes, plan.nt_stores);
+      }
+    }
+    if (plan.nt_stores) {
+      narrow_fence();
+      counters.nt_store_bytes +=
+          converted * static_cast<std::int64_t>(sizeof(S));
+    }
   }
 }
 
-template <typename T>
-FactorResult run_chunk_pipeline(const BatchLayout& layout, std::span<T> data,
+template <typename T, typename S>
+void run_unit(const ChunkExecPlan<T>& plan, S* data, std::int64_t unit,
+              T* pack_scratch, T* wm_scratch, std::span<std::int32_t> info,
+              std::int64_t& failed, std::int64_t& first_failed,
+              ChunkUnitCounters& counters) {
+  if (plan.pack_lanes > 0) pack_unit(plan, data, unit, pack_scratch);
+  factor_unit(plan, inplace_batch<T>(data), unit, pack_scratch, wm_scratch,
+              info, failed, first_failed, counters);
+  if (plan.pack_lanes > 0) {
+    writeback_unit(plan, pack_scratch, data, unit, counters);
+  }
+}
+
+template <typename T, typename S>
+FactorResult run_chunk_pipeline(const BatchLayout& layout, std::span<S> data,
                                 const TileProgram* program,
                                 const CpuFactorOptions& options,
-                                std::span<std::int32_t> info) {
+                                std::span<std::int32_t> info,
+                                StoragePrec storage) {
   IBCHOL_TRACE_SPAN("chunk_pipeline", "cpu", layout.n());
-  ChunkExecPlan<T> plan =
-      plan_chunk_exec<T>(layout, data.data(), program, options);
+  ChunkExecPlan<T> plan;
+  if constexpr (std::is_same_v<S, T>) {
+    plan = plan_chunk_exec<T>(layout, data.data(), program, options);
+  } else {
+    plan = plan_chunk_exec_mixed(layout, program, options, storage);
+  }
   note_exec_dispatch(plan.exec);
   std::optional<SpecializedProgram<T>> spec;
   if (plan.needs_spec_program()) {
@@ -565,36 +672,9 @@ ChunkExecPlan<float> plan_chunk_exec_mixed(const BatchLayout& layout,
                "reduced-precision storage runs interleaved layouts");
   IBCHOL_CHECK(storage != StoragePrec::kFp32,
                "mixed plans are for reduced storage precisions only");
-  ChunkExecPlan<float> plan;
-  plan.layout = layout;
-  plan.n = layout.n();
+  ChunkExecPlan<float> plan = resolve_executor<float>(layout, program, options);
   plan.storage = storage;
   plan.convert_isa = resolve_convert_isa();
-
-  plan.exec = options.exec;
-  plan.whole_matrix = options.unroll == Unroll::kFull;
-  if (plan.exec == CpuExec::kAuto) {
-    plan.exec = resolve_cpu_exec(plan.n, options.isa);
-    if (plan.exec == CpuExec::kVectorized) plan.whole_matrix = true;
-  }
-  IBCHOL_CHECK(plan.whole_matrix || program != nullptr,
-               "partial unrolling requires a tile program");
-
-  plan.math = options.math;
-  plan.triangle = options.triangle;
-  plan.program = program;
-  plan.fused_spec = plan.exec == CpuExec::kSpecialized && plan.whole_matrix &&
-                    plan.n <= kMaxFusedDim;
-  if (plan.exec == CpuExec::kVectorized) {
-    plan.vk = &vec_kernels<float>(options.isa);
-    plan.vec_nt_stores = std::getenv("IBCHOL_VEC_NT_STORES") != nullptr;
-  }
-  plan.need_wm_scratch =
-      plan.whole_matrix && (plan.exec == CpuExec::kVectorized
-                                ? plan.n > kMaxVecWholeDim
-                                : !plan.fused_spec);
-  plan.wm_scratch_elems =
-      plan.need_wm_scratch ? whole_matrix_scratch_elems(plan.n) : 0;
 
   const std::int64_t padded = layout.padded_batch();
   const std::int64_t elems = static_cast<std::int64_t>(plan.n) * plan.n;
@@ -625,147 +705,6 @@ ChunkExecPlan<float> plan_chunk_exec_mixed(const BatchLayout& layout,
   return plan;
 }
 
-namespace {
-
-// The conversion stages only touch the element rows the factorization
-// reads and writes: the stored triangle. Column j (elements j·n .. j·n+n,
-// column-major) keeps rows [j, n) under kLower and [0, j] under kUpper —
-// a contiguous element-row run either way, which halves the conversion
-// work against a full-square sweep. The other triangle's stored words are
-// left exactly as submitted (the full-square round trip would have
-// rewritten them bit-identically: widen is exact and RN-even narrowing of
-// an exactly-widened value restores the original word, so skipping it
-// changes nothing but the traffic). The matching scratch region stays
-// unwritten, which is fine for the same reason the fp32 in-place paths
-// are: no compute body dereferences the unfactored triangle.
-//
-// Per column the run is `rows` element-rows of `lanes` elements at
-// `stride`; when the stride equals the unit's lane count (a chunked layout
-// walked in whole-chunk units) the rows abut and the whole run is one
-// contiguous conversion call.
-struct TriangleRun {
-  std::int64_t e0 = 0;    ///< first element row of the run
-  std::int64_t rows = 0;  ///< element rows in the run
-};
-
-inline TriangleRun column_run(int n, int j, Triangle triangle) {
-  const std::int64_t lo = triangle == Triangle::kLower ? j : 0;
-  const std::int64_t hi = triangle == Triangle::kLower ? n : j + 1;
-  return {static_cast<std::int64_t>(j) * n + lo, hi - lo};
-}
-
-}  // namespace
-
-void pack_unit_mixed(const ChunkExecPlan<float>& plan,
-                     const std::uint16_t* data, std::int64_t unit,
-                     float* scratch) {
-  IBCHOL_TRACE_SPAN("pack", "pipeline", unit);
-  const std::int64_t c0 = plan.first_lane(unit);
-  const std::int64_t lanes = plan.lanes_of(unit);
-  const bool chunked = plan.layout.kind() == LayoutKind::kInterleavedChunked;
-  const std::uint16_t* src =
-      chunked ? data + plan.layout.chunk_base(c0) : data + c0;
-  const std::int64_t stride =
-      chunked ? plan.layout.chunk() : plan.layout.padded_batch();
-  for (int j = 0; j < plan.n; ++j) {
-    const TriangleRun run = column_run(plan.n, j, plan.triangle);
-    if (stride == lanes) {
-      widen_row(plan.convert_isa, plan.storage, src + run.e0 * stride,
-                scratch + run.e0 * lanes, run.rows * lanes);
-      continue;
-    }
-    for (std::int64_t e = run.e0; e < run.e0 + run.rows; ++e) {
-      widen_row(plan.convert_isa, plan.storage, src + e * stride,
-                scratch + e * lanes, lanes);
-    }
-  }
-}
-
-void writeback_unit_mixed(const ChunkExecPlan<float>& plan,
-                          const float* scratch, std::uint16_t* data,
-                          std::int64_t unit, ChunkUnitCounters& counters) {
-  IBCHOL_TRACE_SPAN("writeback", "pipeline", unit);
-  const std::int64_t c0 = plan.first_lane(unit);
-  const std::int64_t lanes = plan.lanes_of(unit);
-  const bool chunked = plan.layout.kind() == LayoutKind::kInterleavedChunked;
-  std::uint16_t* dst =
-      chunked ? data + plan.layout.chunk_base(c0) : data + c0;
-  const std::int64_t stride =
-      chunked ? plan.layout.chunk() : plan.layout.padded_batch();
-  std::int64_t converted = 0;
-  for (int j = 0; j < plan.n; ++j) {
-    const TriangleRun run = column_run(plan.n, j, plan.triangle);
-    converted += run.rows * lanes;
-    if (stride == lanes) {
-      narrow_row(plan.convert_isa, plan.storage, scratch + run.e0 * lanes,
-                 dst + run.e0 * stride, run.rows * lanes, plan.nt_stores);
-      continue;
-    }
-    for (std::int64_t e = run.e0; e < run.e0 + run.rows; ++e) {
-      narrow_row(plan.convert_isa, plan.storage, scratch + e * lanes,
-                 dst + e * stride, lanes, plan.nt_stores);
-    }
-  }
-  if (plan.nt_stores) {
-    narrow_fence();
-    counters.nt_store_bytes +=
-        converted * static_cast<std::int64_t>(sizeof(std::uint16_t));
-  }
-}
-
-void run_unit_mixed(const ChunkExecPlan<float>& plan, std::uint16_t* data,
-                    std::int64_t unit, float* pack_scratch, float* wm_scratch,
-                    std::span<std::int32_t> info, std::int64_t& failed,
-                    std::int64_t& first_failed, ChunkUnitCounters& counters) {
-  pack_unit_mixed(plan, data, unit, pack_scratch);
-  // The packed branch of factor_unit never dereferences `data` — the fp32
-  // compute body is reused verbatim over the widened scratch.
-  factor_unit<float>(plan, nullptr, unit, pack_scratch, wm_scratch, info,
-                     failed, first_failed, counters);
-  writeback_unit_mixed(plan, pack_scratch, data, unit, counters);
-}
-
-FactorResult run_chunk_pipeline_mixed(const BatchLayout& layout,
-                                      std::span<std::uint16_t> data,
-                                      const TileProgram* program,
-                                      const CpuFactorOptions& options,
-                                      StoragePrec storage,
-                                      std::span<std::int32_t> info) {
-  IBCHOL_TRACE_SPAN("chunk_pipeline", "cpu", layout.n());
-  ChunkExecPlan<float> plan =
-      plan_chunk_exec_mixed(layout, program, options, storage);
-  note_exec_dispatch(plan.exec);
-  std::optional<SpecializedProgram<float>> spec;
-  if (plan.needs_spec_program()) {
-    spec.emplace(*program, options.math);
-    plan.spec = &*spec;
-  }
-
-  std::int64_t failed = 0;
-  std::int64_t first_failed = std::numeric_limits<std::int64_t>::max();
-
-#pragma omp parallel num_threads(resolve_threads(options.num_threads))
-  {
-    AlignedBuffer<float> scratch(plan.pack_scratch_elems);
-    std::vector<float> wm_scratch(plan.wm_scratch_elems);
-    std::int64_t local_failed = 0;
-    std::int64_t local_first = std::numeric_limits<std::int64_t>::max();
-    ChunkUnitCounters counters;
-#pragma omp for schedule(static)
-    for (std::int64_t u = 0; u < plan.num_units; ++u) {
-      run_unit_mixed(plan, data.data(), u, scratch.data(), wm_scratch.data(),
-                     info, local_failed, local_first, counters);
-    }
-    fold_unit_counters(counters);
-#pragma omp critical
-    {
-      failed += local_failed;
-      first_failed = std::min(first_failed, local_first);
-    }
-  }
-  return finalize_factor_result(failed, first_failed);
-}
-
 template void pack_chunk<float>(const float*, std::int64_t, float*,
                                 std::int64_t, std::int64_t);
 template void pack_chunk<double>(const double*, std::int64_t, double*,
@@ -775,27 +714,33 @@ template void unpack_chunk<float>(const float*, std::int64_t, float*,
 template void unpack_chunk<double>(const double*, std::int64_t, double*,
                                    std::int64_t, std::int64_t, bool);
 
+#define IBCHOL_INSTANTIATE_STAGES(T, S)                                     \
+  template void pack_unit<T, S>(const ChunkExecPlan<T>&, const S*,          \
+                                std::int64_t, T*);                          \
+  template void writeback_unit<T, S>(const ChunkExecPlan<T>&, const T*, S*, \
+                                     std::int64_t, ChunkUnitCounters&);     \
+  template void run_unit<T, S>(const ChunkExecPlan<T>&, S*, std::int64_t,   \
+                               T*, T*, std::span<std::int32_t>,             \
+                               std::int64_t&, std::int64_t&,                \
+                               ChunkUnitCounters&);                         \
+  template FactorResult run_chunk_pipeline<T, S>(                           \
+      const BatchLayout&, std::span<S>, const TileProgram*,                 \
+      const CpuFactorOptions&, std::span<std::int32_t>, StoragePrec);
+
 #define IBCHOL_INSTANTIATE_PLAN(T)                                          \
   template ChunkExecPlan<T> plan_chunk_exec<T>(                             \
       const BatchLayout&, const T*, const TileProgram*,                     \
       const CpuFactorOptions&);                                             \
-  template void pack_unit<T>(const ChunkExecPlan<T>&, const T*,             \
-                             std::int64_t, T*);                             \
   template void factor_unit<T>(const ChunkExecPlan<T>&, T*, std::int64_t,   \
                                T*, T*, std::span<std::int32_t>,             \
                                std::int64_t&, std::int64_t&,                \
                                ChunkUnitCounters&);                         \
-  template void writeback_unit<T>(const ChunkExecPlan<T>&, const T*, T*,    \
-                                  std::int64_t, ChunkUnitCounters&);        \
-  template void run_unit<T>(const ChunkExecPlan<T>&, T*, std::int64_t, T*,  \
-                            T*, std::span<std::int32_t>, std::int64_t&,     \
-                            std::int64_t&, ChunkUnitCounters&);             \
-  template FactorResult run_chunk_pipeline<T>(                              \
-      const BatchLayout&, std::span<T>, const TileProgram*,                 \
-      const CpuFactorOptions&, std::span<std::int32_t>);
+  IBCHOL_INSTANTIATE_STAGES(T, T)
 
 IBCHOL_INSTANTIATE_PLAN(float)
 IBCHOL_INSTANTIATE_PLAN(double)
+IBCHOL_INSTANTIATE_STAGES(float, std::uint16_t)
 #undef IBCHOL_INSTANTIATE_PLAN
+#undef IBCHOL_INSTANTIATE_STAGES
 
 }  // namespace ibchol

@@ -29,6 +29,7 @@
 #include <map>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <utility>
 
 #include "cpu/batch_factor.hpp"
@@ -163,17 +164,17 @@ struct ChunkExecPlan {
   const TileProgram* program = nullptr;
   const SpecializedProgram<T>* spec = nullptr;
   const VecKernels<T>* vk = nullptr;
-  bool vec_nt_stores = false;  ///< run_program streaming stores (env hook)
   bool need_wm_scratch = false;  ///< interpreter scratch-triangle fallback
 
   /// Element width of the *caller's* batch. kFp32 is the classic path
-  /// (storage == compute == T). Reduced-precision plans (built by
-  /// plan_chunk_exec_mixed, T = float only) hold the batch as 16-bit words
-  /// and always stage units through fp32 pack scratch: pack_unit_mixed
-  /// widens rows on the way into L2, the unchanged factor_unit runs the
-  /// fp32 compute body over scratch, writeback_unit_mixed narrows on the
-  /// way out. convert_isa is the conversion tier resolved once at plan
-  /// time (IBCHOL_CONVERT_ISA hook), never kAuto.
+  /// (storage == compute == T, stage storage type S = T). Reduced-precision
+  /// plans (built by plan_chunk_exec_mixed, T = float only) hold the batch
+  /// as 16-bit words (S = std::uint16_t) and always stage units through
+  /// fp32 pack scratch: pack_unit widens rows on the way into L2, the
+  /// unchanged factor_unit runs the fp32 compute body over scratch,
+  /// writeback_unit narrows on the way out. convert_isa is the conversion
+  /// tier resolved once at plan time (IBCHOL_CONVERT_ISA hook), never
+  /// kAuto.
   StoragePrec storage = StoragePrec::kFp32;
   SimdIsa convert_isa = SimdIsa::kScalar;
 
@@ -211,11 +212,43 @@ template <typename T>
                                                const TileProgram* program,
                                                const CpuFactorOptions& options);
 
-/// Stage 1 of a packed unit: copies the unit's lanes from the interleaved
-/// batch into chunk scratch (pack_scratch_elems elements). Packed plans
-/// only.
-template <typename T>
-void pack_unit(const ChunkExecPlan<T>& plan, const T* data, std::int64_t unit,
+/// Plans a reduced-precision factorization (storage must not be kFp32):
+/// the executor is resolved exactly as plan_chunk_exec does, but every
+/// plan packs (every executor including the interpreter oracle, and the
+/// chunked layout too — the u16 batch cannot be factored in place,
+/// widening IS the pack). One unit is one layout chunk for
+/// kInterleavedChunked, else chunk_size lanes (0 = the fp32 scratch sizing
+/// rule). Alignment of the caller's u16 batch is never constrained
+/// (conversions load/store unaligned).
+[[nodiscard]] ChunkExecPlan<float> plan_chunk_exec_mixed(
+    const BatchLayout& layout, const TileProgram* program,
+    const CpuFactorOptions& options, StoragePrec storage);
+
+// The stage functions below are templated on the compute type T and the
+// storage type S of the caller's batch. S = T is the fp32/fp64 path; S =
+// std::uint16_t (T = float, a plan from plan_chunk_exec_mixed) is the
+// bf16/fp16 path, where pack widens and write-back narrows per
+// plan.storage, converting only the stored triangle. The compute stage
+// (factor_unit) is the same fp32 body either way, so the mixed lane is
+// bit-identical to the fp32 path over the widened scratch.
+
+/// The batch pointer factor_unit's in-place branch works on: the batch
+/// itself when it is stored as T, null for a 16-bit batch (whose plans
+/// always pack, so factor_unit never dereferences it).
+template <typename T, typename S>
+[[nodiscard]] T* inplace_batch(S* data) noexcept {
+  if constexpr (std::is_same_v<S, T>) {
+    return data;
+  } else {
+    return nullptr;
+  }
+}
+
+/// Stage 1 of a packed unit: copies (S = T) or widens (16-bit S) the
+/// unit's lanes from the interleaved batch into chunk scratch
+/// (pack_scratch_elems elements of T). Packed plans only.
+template <typename T, typename S>
+void pack_unit(const ChunkExecPlan<T>& plan, const S* data, std::int64_t unit,
                T* scratch);
 
 /// Stage 2: factors every lane block of the unit — over `pack_scratch` for
@@ -229,18 +262,20 @@ void factor_unit(const ChunkExecPlan<T>& plan, T* data, std::int64_t unit,
                  std::int64_t& failed, std::int64_t& first_failed,
                  ChunkUnitCounters& counters);
 
-/// Stage 3 of a packed unit: writes the factored scratch back into the
-/// batch, with non-temporal streaming stores when the plan calls for them.
-template <typename T>
-void writeback_unit(const ChunkExecPlan<T>& plan, const T* scratch, T* data,
+/// Stage 3 of a packed unit: writes (S = T) or narrows RN-even (16-bit S)
+/// the factored scratch back into the batch, with non-temporal streaming
+/// stores when the plan calls for them (the store fence is issued before
+/// returning).
+template <typename T, typename S>
+void writeback_unit(const ChunkExecPlan<T>& plan, const T* scratch, S* data,
                     std::int64_t unit, ChunkUnitCounters& counters);
 
 /// All stages of one unit back to back — the synchronous (non-overlapped)
-/// schedule the OpenMP driver uses. The service's workers instead call the
-/// stages directly so the pack of unit k+1 can overlap the write-back of
-/// unit k (double buffering).
-template <typename T>
-void run_unit(const ChunkExecPlan<T>& plan, T* data, std::int64_t unit,
+/// schedule the OpenMP driver and the service's quarantine path use. The
+/// service's workers otherwise call the stages directly so the pack of
+/// unit k+1 can overlap the write-back of unit k (double buffering).
+template <typename T, typename S>
+void run_unit(const ChunkExecPlan<T>& plan, S* data, std::int64_t unit,
               T* pack_scratch, T* wm_scratch, std::span<std::int32_t> info,
               std::int64_t& failed, std::int64_t& first_failed,
               ChunkUnitCounters& counters);
@@ -248,59 +283,14 @@ void run_unit(const ChunkExecPlan<T>& plan, T* data, std::int64_t unit,
 /// Factors an interleaved-layout batch through the chunk-resident
 /// pipeline. `program` may be null when no tile program is needed (full
 /// unrolling, or kAuto resolving to a programless path). This is the
-/// execution engine behind factor_batch_cpu for non-canonical layouts.
-template <typename T>
-FactorResult run_chunk_pipeline(const BatchLayout& layout, std::span<T> data,
+/// execution engine behind factor_batch_cpu for non-canonical layouts
+/// (S = T) and behind factor_batch_cpu_mixed (S = std::uint16_t, T = float,
+/// `storage` naming the 16-bit format; ignored when S = T).
+template <typename T, typename S>
+FactorResult run_chunk_pipeline(const BatchLayout& layout, std::span<S> data,
                                 const TileProgram* program,
                                 const CpuFactorOptions& options,
-                                std::span<std::int32_t> info);
-
-// ------------------------------------------- reduced-precision storage ---
-//
-// The mixed lanes reuse the fp32 plan and stage functions wholesale: a
-// mixed plan is a ChunkExecPlan<float> whose `storage` names the 16-bit
-// element width of the caller's batch and which *always* packs (every
-// executor including the interpreter oracle, and the chunked layout too —
-// the u16 batch cannot be factored in place, widening IS the pack). The
-// fp32 factor_unit runs unchanged over the widened scratch, so the compute
-// body is bit-identical to the fp32 path; only the pack/write-back stages
-// convert. One unit is one layout chunk for kInterleavedChunked, else
-// chunk_size lanes (0 = the fp32 scratch sizing rule).
-
-/// Plans a reduced-precision factorization (storage must not be kFp32).
-/// `options.chunk_size` keeps its fp32 meaning; alignment of the caller's
-/// u16 batch is never constrained (conversions load/store unaligned).
-[[nodiscard]] ChunkExecPlan<float> plan_chunk_exec_mixed(
-    const BatchLayout& layout, const TileProgram* program,
-    const CpuFactorOptions& options, StoragePrec storage);
-
-/// Stage 1 of a mixed unit: widens the unit's 16-bit lanes into fp32 chunk
-/// scratch (pack_scratch_elems floats).
-void pack_unit_mixed(const ChunkExecPlan<float>& plan,
-                     const std::uint16_t* data, std::int64_t unit,
-                     float* scratch);
-
-/// Stage 3 of a mixed unit: narrows the factored fp32 scratch back into
-/// the 16-bit batch (RN-even), streaming past the caches when the plan
-/// calls for it (the store fence is issued before returning).
-void writeback_unit_mixed(const ChunkExecPlan<float>& plan,
-                          const float* scratch, std::uint16_t* data,
-                          std::int64_t unit, ChunkUnitCounters& counters);
-
-/// All stages of one mixed unit back to back (stage 2 is the unchanged
-/// fp32 factor_unit over the scratch).
-void run_unit_mixed(const ChunkExecPlan<float>& plan, std::uint16_t* data,
-                    std::int64_t unit, float* pack_scratch, float* wm_scratch,
-                    std::span<std::int32_t> info, std::int64_t& failed,
-                    std::int64_t& first_failed, ChunkUnitCounters& counters);
-
-/// Factors a reduced-precision interleaved-layout batch (bf16/fp16 words,
-/// fp32 accumulate). The execution engine behind factor_batch_cpu_mixed.
-FactorResult run_chunk_pipeline_mixed(const BatchLayout& layout,
-                                      std::span<std::uint16_t> data,
-                                      const TileProgram* program,
-                                      const CpuFactorOptions& options,
-                                      StoragePrec storage,
-                                      std::span<std::int32_t> info);
+                                std::span<std::int32_t> info,
+                                StoragePrec storage = StoragePrec::kFp32);
 
 }  // namespace ibchol

@@ -44,7 +44,6 @@ struct VecGeneric {
   static void store(T* p, V x) {
     for (int l = 0; l < W; ++l) p[l] = x.v[l];
   }
-  static void store_nt(T* p, V x) { store(p, x); }
 
   static V set1(T x) {
     V r;

@@ -18,7 +18,6 @@ struct VecAvx2F {
 
   static V load(const float* p) { return _mm256_load_ps(p); }
   static void store(float* p, V x) { _mm256_store_ps(p, x); }
-  static void store_nt(float* p, V x) { _mm256_stream_ps(p, x); }
   static V set1(float x) { return _mm256_set1_ps(x); }
   static V mul(V a, V b) { return _mm256_mul_ps(a, b); }
   static V fnmadd(V a, V b, V c) { return _mm256_fnmadd_ps(a, b, c); }
@@ -65,7 +64,6 @@ struct VecAvx2D {
 
   static V load(const double* p) { return _mm256_load_pd(p); }
   static void store(double* p, V x) { _mm256_store_pd(p, x); }
-  static void store_nt(double* p, V x) { _mm256_stream_pd(p, x); }
   static V set1(double x) { return _mm256_set1_pd(x); }
   static V mul(V a, V b) { return _mm256_mul_pd(a, b); }
   static V fnmadd(V a, V b, V c) { return _mm256_fnmadd_pd(a, b, c); }

@@ -17,7 +17,6 @@ struct VecAvx512F {
 
   static V load(const float* p) { return _mm512_load_ps(p); }
   static void store(float* p, V x) { _mm512_store_ps(p, x); }
-  static void store_nt(float* p, V x) { _mm512_stream_ps(p, x); }
   static V set1(float x) { return _mm512_set1_ps(x); }
   static V mul(V a, V b) { return _mm512_mul_ps(a, b); }
   static V fnmadd(V a, V b, V c) { return _mm512_fnmadd_ps(a, b, c); }
@@ -60,7 +59,6 @@ struct VecAvx512D {
 
   static V load(const double* p) { return _mm512_load_pd(p); }
   static void store(double* p, V x) { _mm512_store_pd(p, x); }
-  static void store_nt(double* p, V x) { _mm512_stream_pd(p, x); }
   static V set1(double x) { return _mm512_set1_pd(x); }
   static V mul(V a, V b) { return _mm512_mul_pd(a, b); }
   static V fnmadd(V a, V b, V c) { return _mm512_fnmadd_pd(a, b, c); }

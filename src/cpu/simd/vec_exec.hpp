@@ -50,13 +50,10 @@ struct VecKernels {
   /// Vector width in elements of T.
   int width;
 
-  /// Op-by-op execution of a bound tile program. `nt_stores` uses
-  /// non-temporal stores for the program's store ops (streaming the factor
-  /// past the cache; off by default — only profitable when the batch far
-  /// exceeds LLC and tiles are never reloaded).
+  /// Op-by-op execution of a bound tile program.
   void (*run_program)(const TileProgram& program, MathMode math, T* base,
                       std::int64_t estride, std::int32_t* info,
-                      Triangle triangle, bool nt_stores);
+                      Triangle triangle);
 
   /// Runtime-n whole-matrix factorization, left-looking and in place (one
   /// aligned load/store per element plus the panel re-reads; no scratch).

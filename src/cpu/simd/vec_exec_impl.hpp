@@ -71,8 +71,7 @@ inline void flag_nonpositive(typename V::V x, std::int32_t* info, int g,
 template <class V, class Math>
 void run_vec_op(const TileOp& op, exec_detail::RegFile<typename V::Elem>& rf,
                 std::int64_t rstride, std::int64_t cstride,
-                typename V::Elem* __restrict__ base, std::int32_t* info,
-                bool nt_stores) {
+                typename V::Elem* __restrict__ base, std::int32_t* info) {
   using T = typename V::Elem;
   using VV = typename V::V;
   constexpr int W = V::kWidth;
@@ -103,12 +102,7 @@ void run_vec_op(const TileOp& op, exec_detail::RegFile<typename V::Elem>& rf,
           T* dst = base + (op.row0 + i) * rstride + (op.col0 + j) * cstride;
           const T* src = rf.tile(op.r1, i, j);
           for (int g = 0; g < kLaneBlock; g += W) {
-            const VV x = V::load(src + g);
-            if (nt_stores) {
-              V::store_nt(dst + g, x);
-            } else {
-              V::store(dst + g, x);
-            }
+            V::store(dst + g, V::load(src + g));
           }
         }
       }
@@ -197,14 +191,14 @@ void run_vec_op(const TileOp& op, exec_detail::RegFile<typename V::Elem>& rf,
 template <class V, class Math>
 void run_program_impl(const TileProgram& program, typename V::Elem* base,
                       std::int64_t estride, std::int32_t* info,
-                      Triangle triangle, bool nt_stores) {
+                      Triangle triangle) {
   const std::int64_t rstride =
       triangle == Triangle::kUpper ? estride * program.n : estride;
   const std::int64_t cstride =
       triangle == Triangle::kUpper ? estride : estride * program.n;
   exec_detail::RegFile<typename V::Elem> rf;
   for (const TileOp& op : program.ops) {
-    run_vec_op<V, Math>(op, rf, rstride, cstride, base, info, nt_stores);
+    run_vec_op<V, Math>(op, rf, rstride, cstride, base, info);
   }
 }
 
@@ -450,17 +444,15 @@ template <typename V>
   k.width = V::kWidth;
   k.run_program = [](const TileProgram& program, MathMode math, T* base,
                      std::int64_t estride, std::int32_t* info,
-                     Triangle triangle, bool nt_stores) {
+                     Triangle triangle) {
     IBCHOL_CHECK(program.nb <= kMaxTileSize,
                  "tile size exceeds the executor's register file");
     IBCHOL_CHECK(program.num_register_tiles() <= kMaxRegisterTiles,
                  "program uses too many register tiles");
     if (math == MathMode::kFastMath) {
-      run_program_impl<V, VecFast<V>>(program, base, estride, info, triangle,
-                                      nt_stores);
+      run_program_impl<V, VecFast<V>>(program, base, estride, info, triangle);
     } else {
-      run_program_impl<V, VecIeee<V>>(program, base, estride, info, triangle,
-                                      nt_stores);
+      run_program_impl<V, VecIeee<V>>(program, base, estride, info, triangle);
     }
   };
   k.whole_matrix = [](int n, MathMode math, T* base, std::int64_t estride,

@@ -12,6 +12,7 @@
 #include <new>
 #include <thread>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "cpu/chunk_pipeline.hpp"
@@ -70,27 +71,28 @@ struct alignas(64) WorkerState {
 /// submit() and published to workers through the submission queue's
 /// release/acquire edge (and onward to thieves through the deque's).
 struct alignas(64) Slot {
-  enum class Mode : std::uint8_t {
-    kChunkF32,
-    kChunkF64,
-    kCanonF32,
-    kCanonF64,
-    /// Reduced-precision storage (bf16/fp16 words, fp32 accumulate):
-    /// plan_f is a mixed plan (plan_chunk_exec_mixed) whose `storage`
-    /// field names the element format; data points at std::uint16_t.
-    kChunkMixed,
+  /// How the request's units execute.
+  enum class Lane : std::uint8_t {
+    /// Chunk-pipeline units (interleaved layouts) under the plan in
+    /// `plans` for the element type.
+    kChunk,
+    /// kCanonicalUnit column-major matrices per unit.
+    kCanonical,
     /// Large-N tiled task DAG (see tiled/dag.hpp): units are individual
     /// tile tasks gated by per-tile in-degree counters in tiled_state,
     /// operating on tile-major scratch in tiled_tiles. `dag` points at the
     /// shared immutable spec cached in ServiceShared.
-    kTiledF32,
-    kTiledF64
+    kTiled,
   };
+  /// Element format of the caller's batch. kBf16/kFp16 are 16-bit words
+  /// with fp32 accumulate (chunk lane only): the fp32 plan is a mixed plan
+  /// (plan_chunk_exec_mixed) and data points at std::uint16_t.
+  enum class Elem : std::uint8_t { kFp32, kFp64, kBf16, kFp16 };
 
   // Immutable while in flight.
-  Mode mode = Mode::kChunkF32;
-  ChunkExecPlan<float> plan_f;
-  ChunkExecPlan<double> plan_d;
+  Lane lane = Lane::kChunk;
+  Elem elem = Elem::kFp32;
+  std::tuple<ChunkExecPlan<float>, ChunkExecPlan<double>> plans;
   BatchLayout layout = BatchLayout::interleaved(1, 1);
   int nb = 8;
   Triangle triangle = Triangle::kLower;
@@ -169,12 +171,10 @@ struct ServiceShared {
   // by every later request (the steady-state zero-allocation path).
   std::mutex cache_mu;
   std::map<std::tuple<int, int, int>, std::unique_ptr<TileProgram>> programs;
-  std::map<std::tuple<const TileProgram*, int>,
-           std::unique_ptr<SpecializedProgram<float>>>
-      specs_f;
-  std::map<std::tuple<const TileProgram*, int>,
-           std::unique_ptr<SpecializedProgram<double>>>
-      specs_d;
+  template <typename T>
+  using SpecCache = std::map<std::tuple<const TileProgram*, int>,
+                             std::unique_ptr<SpecializedProgram<T>>>;
+  std::tuple<SpecCache<float>, SpecCache<double>> specs;
   /// Tiled DAG specs keyed (n, nb, clamped lookahead); immutable once
   /// built, so slots can hold bare pointers across requests.
   std::map<std::tuple<int, int, int>, std::unique_ptr<tiled::DagSpec>> dags;
@@ -224,16 +224,13 @@ void complete_request(ServiceShared& s, std::uint32_t idx) {
     // Per-precision latency lane: load_service reports p50/p95/p99 per
     // storage format from these. Runtime-named, so no macro cache — one
     // registry lookup per completed request, noise next to a factorization.
-    const char* lane =
-        slot.mode == Slot::Mode::kChunkMixed
-            ? (slot.plan_f.storage == StoragePrec::kBf16
-                   ? "svc.request_ns.bf16"
-                   : "svc.request_ns.fp16")
-        : (slot.mode == Slot::Mode::kChunkF64 ||
-           slot.mode == Slot::Mode::kCanonF64 ||
-           slot.mode == Slot::Mode::kTiledF64)
-            ? "svc.request_ns.fp64"
-            : "svc.request_ns.fp32";
+    const char* lane = "svc.request_ns.fp32";
+    switch (slot.elem) {
+      case Slot::Elem::kFp32: break;
+      case Slot::Elem::kFp64: lane = "svc.request_ns.fp64"; break;
+      case Slot::Elem::kBf16: lane = "svc.request_ns.bf16"; break;
+      case Slot::Elem::kFp16: lane = "svc.request_ns.fp16"; break;
+    }
     obs::histogram(lane).record(now - slot.submit_ns);
     if (obs::tracing_active()) {
       obs::record_span("request", "svc", slot.seq, slot.submit_ns,
@@ -354,13 +351,18 @@ std::int64_t maybe_split(ServiceShared& s, WorkDeque& deque,
   return end;
 }
 
-template <typename T>
+/// Runs a chunk-lane unit range over a batch stored as S (S = T, or 16-bit
+/// words widened into fp32 scratch by pack_unit and narrowed back by
+/// writeback_unit). Packed plans use the double-buffered schedule; a
+/// 16-bit batch always packs, so only S = T ever takes the in-place loop.
+template <typename T, typename S>
 void run_chunk_range(ServiceShared& s, int wid, std::uint32_t idx,
                      const ChunkExecPlan<T>& plan, UnitTask t) {
   WorkDeque& deque = *s.deques[wid];
   WorkerState& me = *s.wstates[wid];
   Slot& slot = *s.slots[idx];
-  auto* data = static_cast<T*>(slot.data);
+  auto* data = static_cast<S*>(slot.data);
+  T* const inplace = inplace_batch<T>(data);
   const std::span<std::int32_t> info(slot.info, slot.info_size);
   std::int64_t failed = 0;
   std::int64_t first = kNotSeen;
@@ -404,7 +406,7 @@ void run_chunk_range(ServiceShared& s, int wid, std::uint32_t idx,
     pack_unit(plan, data, t.begin, cur);
     for (std::int64_t u = t.begin; u < t.end; ++u) {
       chaos::chaos_stall_unit();
-      factor_unit(plan, data, u, cur, wm, info, failed, first, counters);
+      factor_unit(plan, inplace, u, cur, wm, info, failed, first, counters);
       if (u + 1 < t.end) pack_unit(plan, data, u + 1, nxt);
       chaos::chaos_delay_writeback();
       writeback_unit(plan, cur, data, u, counters);
@@ -416,8 +418,8 @@ void run_chunk_range(ServiceShared& s, int wid, std::uint32_t idx,
   } else {
     for (std::int64_t u = t.begin; u < t.end; ++u) {
       chaos::chaos_stall_unit();
-      factor_unit(plan, data, u, static_cast<T*>(nullptr), wm, info, failed,
-                  first, counters);
+      factor_unit(plan, inplace, u, static_cast<T*>(nullptr), wm, info,
+                  failed, first, counters);
       me.heartbeat.fetch_add(1, std::memory_order_relaxed);
       t.end = maybe_split(s, deque, idx, u + 1, t.end);
     }
@@ -425,67 +427,6 @@ void run_chunk_range(ServiceShared& s, int wid, std::uint32_t idx,
   fold_unit_counters(counters);
   // Return scratch before completing: a waiter that observes the done
   // request must also observe live_leases back at its resting level.
-  lease_b.reset();
-  lease_a.reset();
-  wm_lease.reset();
-  finish_units(s, idx, t.size(), failed, first);
-}
-
-/// run_chunk_range for a reduced-precision request: same double-buffered
-/// pack/factor/writeback schedule and steal protocol, with the pack stage
-/// widening 16-bit lanes into fp32 scratch and the write-back narrowing
-/// them again. Mixed plans always pack, so there is no in-place branch;
-/// the fp32 factor_unit never touches the u16 batch (nullptr data).
-void run_chunk_range_mixed(ServiceShared& s, int wid, std::uint32_t idx,
-                           const ChunkExecPlan<float>& plan, UnitTask t) {
-  WorkDeque& deque = *s.deques[wid];
-  WorkerState& me = *s.wstates[wid];
-  Slot& slot = *s.slots[idx];
-  auto* data = static_cast<std::uint16_t*>(slot.data);
-  const std::span<std::int32_t> info(slot.info, slot.info_size);
-  std::int64_t failed = 0;
-  std::int64_t first = kNotSeen;
-  ChunkUnitCounters counters;
-
-  ArenaLease wm_lease;
-  ArenaLease lease_a;
-  ArenaLease lease_b;
-  float* wm = nullptr;
-  float* cur = nullptr;
-  float* nxt = nullptr;
-  try {
-    if (plan.wm_scratch_elems > 0) {
-      wm_lease = s.arena.acquire(plan.wm_scratch_elems * sizeof(float));
-      wm = wm_lease.as<float>();
-    }
-    lease_a = s.arena.acquire(plan.pack_scratch_elems * sizeof(float));
-    cur = lease_a.as<float>();
-    t.end = maybe_split(s, deque, idx, t.begin + 1, t.end);
-    if (t.size() > 1) {
-      lease_b = s.arena.acquire(plan.pack_scratch_elems * sizeof(float));
-      nxt = lease_b.as<float>();
-    }
-  } catch (const std::bad_alloc&) {
-    lease_b.reset();
-    lease_a.reset();
-    wm_lease.reset();
-    abort_units(s, idx, plan, t);
-    return;
-  }
-
-  pack_unit_mixed(plan, data, t.begin, cur);
-  for (std::int64_t u = t.begin; u < t.end; ++u) {
-    chaos::chaos_stall_unit();
-    factor_unit(plan, static_cast<float*>(nullptr), u, cur, wm, info, failed,
-                first, counters);
-    if (u + 1 < t.end) pack_unit_mixed(plan, data, u + 1, nxt);
-    chaos::chaos_delay_writeback();
-    writeback_unit_mixed(plan, cur, data, u, counters);
-    std::swap(cur, nxt);
-    me.heartbeat.fetch_add(1, std::memory_order_relaxed);
-    t.end = maybe_split(s, deque, idx, u + 2, t.end);
-  }
-  fold_unit_counters(counters);
   lease_b.reset();
   lease_a.reset();
   wm_lease.reset();
@@ -540,7 +481,7 @@ void setup_tiled_request(ServiceShared& s, std::uint32_t idx) {
   const tiled::TileLayout tl(spec.n, spec.nb);
   const std::int64_t batch = slot.layout.batch();
   const std::size_t elem =
-      slot.mode == Slot::Mode::kTiledF64 ? sizeof(double) : sizeof(float);
+      slot.elem == Slot::Elem::kFp64 ? sizeof(double) : sizeof(float);
   ArenaLease tiles;
   ArenaLease state;
   try {
@@ -754,47 +695,55 @@ void run_tiled_range(ServiceShared& s, int wid, std::uint32_t idx,
   }
 }
 
+/// Calls fn.template operator()<T, S>() with the compute element T and the
+/// storage element S of a slot's element format — the one place a
+/// request's runtime element type becomes template arguments.
+template <typename Fn>
+decltype(auto) with_elem_types(Slot::Elem elem, Fn&& fn) {
+  switch (elem) {
+    case Slot::Elem::kFp32:
+      break;
+    case Slot::Elem::kFp64:
+      return fn.template operator()<double, double>();
+    case Slot::Elem::kBf16:
+    case Slot::Elem::kFp16:
+      return fn.template operator()<float, std::uint16_t>();
+  }
+  return fn.template operator()<float, float>();
+}
+
 void run_range(ServiceShared& s, int wid, UnitTask t) {
   Slot& slot = *s.slots[t.slot];
-  switch (slot.mode) {
-    case Slot::Mode::kChunkF32:
-      run_chunk_range<float>(s, wid, t.slot, slot.plan_f, t);
-      break;
-    case Slot::Mode::kChunkF64:
-      run_chunk_range<double>(s, wid, t.slot, slot.plan_d, t);
-      break;
-    case Slot::Mode::kCanonF32:
-      run_canonical_range<float>(s, wid, t.slot, t);
-      break;
-    case Slot::Mode::kCanonF64:
-      run_canonical_range<double>(s, wid, t.slot, t);
-      break;
-    case Slot::Mode::kChunkMixed:
-      run_chunk_range_mixed(s, wid, t.slot, slot.plan_f, t);
-      break;
-    case Slot::Mode::kTiledF32:
-      run_tiled_range<float>(s, wid, t.slot, t);
-      break;
-    case Slot::Mode::kTiledF64:
-      run_tiled_range<double>(s, wid, t.slot, t);
-      break;
-  }
+  with_elem_types(slot.elem, [&]<typename T, typename S>() {
+    switch (slot.lane) {
+      case Slot::Lane::kChunk:
+        run_chunk_range<T, S>(s, wid, t.slot,
+                              std::get<ChunkExecPlan<T>>(slot.plans), t);
+        break;
+      case Slot::Lane::kCanonical:
+        run_canonical_range<T>(s, wid, t.slot, t);
+        break;
+      case Slot::Lane::kTiled:
+        run_tiled_range<T>(s, wid, t.slot, t);
+        break;
+    }
+  });
 }
 
 // ------------------------------------------------ poison quarantine ----
 
-/// Sequential single-buffer execution of a whole quarantined chunk-mode
+/// Sequential single-buffer execution of a whole quarantined chunk-lane
 /// request: no double buffering (one pack buffer, not two) and no splits
 /// (the range is never offered to thieves), so a poisoned batch occupies
 /// one worker and one scratch buffer, nothing more. Failure counts are
 /// recomputed from the info array afterwards, so the locals here are
 /// scratch.
-template <typename T>
+template <typename T, typename S>
 void quarantine_chunk(ServiceShared& s, int wid, Slot& slot,
                       const ChunkExecPlan<T>& plan,
                       std::span<std::int32_t> eff_info) {
   WorkerState& me = *s.wstates[wid];
-  auto* data = static_cast<T*>(slot.data);
+  auto* data = static_cast<S*>(slot.data);
   std::int64_t failed = 0;
   std::int64_t first = kNotSeen;
   ChunkUnitCounters counters;
@@ -812,46 +761,7 @@ void quarantine_chunk(ServiceShared& s, int wid, Slot& slot,
   }
   for (std::int64_t u = 0; u < plan.num_units; ++u) {
     chaos::chaos_stall_unit();
-    if (buf != nullptr) {
-      pack_unit(plan, data, u, buf);
-      factor_unit(plan, data, u, buf, wm, eff_info, failed, first, counters);
-      chaos::chaos_delay_writeback();
-      writeback_unit(plan, buf, data, u, counters);
-    } else {
-      factor_unit(plan, data, u, static_cast<T*>(nullptr), wm, eff_info,
-                  failed, first, counters);
-    }
-    me.heartbeat.fetch_add(1, std::memory_order_relaxed);
-  }
-  fold_unit_counters(counters);
-}
-
-/// Reduced-precision counterpart of quarantine_chunk: single fp32 pack
-/// buffer, no splits, widen/factor/narrow per unit.
-void quarantine_chunk_mixed(ServiceShared& s, int wid, Slot& slot,
-                            const ChunkExecPlan<float>& plan,
-                            std::span<std::int32_t> eff_info) {
-  WorkerState& me = *s.wstates[wid];
-  auto* data = static_cast<std::uint16_t*>(slot.data);
-  std::int64_t failed = 0;
-  std::int64_t first = kNotSeen;
-  ChunkUnitCounters counters;
-  ArenaLease wm_lease;
-  float* wm = nullptr;
-  if (plan.wm_scratch_elems > 0) {
-    wm_lease = s.arena.acquire(plan.wm_scratch_elems * sizeof(float));
-    wm = wm_lease.as<float>();
-  }
-  ArenaLease pack_lease =
-      s.arena.acquire(plan.pack_scratch_elems * sizeof(float));
-  float* buf = pack_lease.as<float>();
-  for (std::int64_t u = 0; u < plan.num_units; ++u) {
-    chaos::chaos_stall_unit();
-    pack_unit_mixed(plan, data, u, buf);
-    factor_unit(plan, static_cast<float*>(nullptr), u, buf, wm, eff_info,
-                failed, first, counters);
-    chaos::chaos_delay_writeback();
-    writeback_unit_mixed(plan, buf, data, u, counters);
+    run_unit(plan, data, u, buf, wm, eff_info, failed, first, counters);
     me.heartbeat.fetch_add(1, std::memory_order_relaxed);
   }
   fold_unit_counters(counters);
@@ -884,13 +794,14 @@ void quarantine_canonical(ServiceShared& s, int wid, Slot& slot,
 /// whole request on this worker's quarantine path, completes it
 /// (kPoisoned) with a RecoveryReport, and returns true. May throw
 /// std::bad_alloc (scratch for the screen); the caller aborts the request.
-template <typename ScreenFn, typename QuarantineFn>
-bool screen_quarantine_generic(ServiceShared& s, std::uint32_t idx,
-                               ScreenFn&& screen_fn,
-                               QuarantineFn&& quarantine_fn) {
+template <typename T, typename S>
+bool screen_quarantine(ServiceShared& s, int wid, std::uint32_t idx) {
   Slot& slot = *s.slots[idx];
   const BatchLayout& layout = slot.layout;
   const std::int64_t batch = layout.batch();
+  const ChunkExecPlan<T>& plan = std::get<ChunkExecPlan<T>>(slot.plans);
+  const std::span<const S> data(static_cast<const S*>(slot.data),
+                                layout.size_elems());
 
   // The screen writes into scratch, never the caller's info: screened
   // indices must be recoverable without trusting whatever the caller's
@@ -900,7 +811,14 @@ bool screen_quarantine_generic(ServiceShared& s, std::uint32_t idx,
   const std::span<std::int32_t> sinfo(sinfo_lease.as<std::int32_t>(),
                                       static_cast<std::size_t>(batch));
   std::memset(sinfo.data(), 0, sinfo.size_bytes());
-  const std::int64_t nonfinite = screen_fn(sinfo);
+  std::int64_t nonfinite = 0;
+  if constexpr (std::is_same_v<S, T>) {
+    nonfinite = screen_nonfinite<T>(layout, data, slot.triangle, sinfo);
+  } else {
+    // A bit-level test on the 16-bit words: no widening pass.
+    nonfinite = screen_nonfinite_mixed(layout, data, plan.storage,
+                                       slot.triangle, sinfo);
+  }
   if (nonfinite == 0) return false;
 
   const std::uint64_t q_start = obs::now_ns();
@@ -924,7 +842,11 @@ bool screen_quarantine_generic(ServiceShared& s, std::uint32_t idx,
   if (slot.info == nullptr) {
     std::memset(sinfo.data(), 0, sinfo.size_bytes());
   }
-  quarantine_fn(eff_info);
+  if (slot.lane == Slot::Lane::kChunk) {
+    quarantine_chunk<T, S>(s, wid, slot, plan, eff_info);
+  } else {
+    quarantine_canonical<T>(s, wid, slot, eff_info);
+  }
 
   // Poisoned matrices report kInfoNonFinite regardless of what the
   // factorization made of their garbage (recover.cpp's convention), and
@@ -968,65 +890,14 @@ bool screen_quarantine_generic(ServiceShared& s, std::uint32_t idx,
   return true;
 }
 
-template <typename T>
-bool screen_quarantine_impl(ServiceShared& s, int wid, std::uint32_t idx,
-                            const ChunkExecPlan<T>* plan) {
-  Slot& slot = *s.slots[idx];
-  auto* data = static_cast<T*>(slot.data);
-  return screen_quarantine_generic(
-      s, idx,
-      [&](std::span<std::int32_t> sinfo) {
-        return screen_nonfinite<T>(
-            slot.layout,
-            std::span<const T>(data, slot.layout.size_elems()),
-            slot.triangle, sinfo);
-      },
-      [&](std::span<std::int32_t> eff_info) {
-        if (plan != nullptr) {
-          quarantine_chunk<T>(s, wid, slot, *plan, eff_info);
-        } else {
-          quarantine_canonical<T>(s, wid, slot, eff_info);
-        }
-      });
-}
-
-/// screen_quarantine_impl for reduced-precision requests: the screen is a
-/// bit-level test on the 16-bit words (no widening pass), the quarantine
-/// run is the mixed single-buffer path.
-bool screen_quarantine_mixed(ServiceShared& s, int wid, std::uint32_t idx) {
-  Slot& slot = *s.slots[idx];
-  auto* data = static_cast<const std::uint16_t*>(slot.data);
-  return screen_quarantine_generic(
-      s, idx,
-      [&](std::span<std::int32_t> sinfo) {
-        return screen_nonfinite_mixed(
-            slot.layout,
-            std::span<const std::uint16_t>(data, slot.layout.size_elems()),
-            slot.plan_f.storage, slot.triangle, sinfo);
-      },
-      [&](std::span<std::int32_t> eff_info) {
-        quarantine_chunk_mixed(s, wid, slot, slot.plan_f, eff_info);
-      });
-}
-
 bool screen_and_quarantine(ServiceShared& s, int wid, std::uint32_t idx) {
   Slot& slot = *s.slots[idx];
-  switch (slot.mode) {
-    case Slot::Mode::kChunkF32:
-      return screen_quarantine_impl<float>(s, wid, idx, &slot.plan_f);
-    case Slot::Mode::kChunkF64:
-      return screen_quarantine_impl<double>(s, wid, idx, &slot.plan_d);
-    case Slot::Mode::kCanonF32:
-      return screen_quarantine_impl<float>(s, wid, idx, nullptr);
-    case Slot::Mode::kCanonF64:
-      return screen_quarantine_impl<double>(s, wid, idx, nullptr);
-    case Slot::Mode::kChunkMixed:
-      return screen_quarantine_mixed(s, wid, idx);
-    case Slot::Mode::kTiledF32:
-    case Slot::Mode::kTiledF64:
-      return false;  // submit_tiled rejects screen; unreachable
+  if (slot.lane == Slot::Lane::kTiled) {
+    return false;  // submit_tiled rejects screen; unreachable
   }
-  return false;
+  return with_elem_types(slot.elem, [&]<typename T, typename S>() {
+    return screen_quarantine<T, S>(s, wid, idx);
+  });
 }
 
 // ------------------------------------------------------ claim & loop ----
@@ -1077,8 +948,7 @@ void claim_request(ServiceShared& s, int wid, std::uint32_t idx) {
     }
     if (handled) return;
   }
-  if (slot.mode == Slot::Mode::kTiledF32 ||
-      slot.mode == Slot::Mode::kTiledF64) {
+  if (slot.lane == Slot::Lane::kTiled) {
     // Acquire the request's tile scratch and DAG counters, then seed only
     // the PACK region — everything else is gated by in-degrees and enters
     // the deques as tasks become ready.
@@ -1490,100 +1360,71 @@ const TileProgram* cached_program(ServiceShared& s, int n, int nb,
 template <typename T>
 const SpecializedProgram<T>* cached_spec(ServiceShared& s,
                                          const TileProgram* program,
-                                         MathMode math);
-
-template <>
-const SpecializedProgram<float>* cached_spec<float>(ServiceShared& s,
-                                                    const TileProgram* program,
-                                                    MathMode math) {
+                                         MathMode math) {
   const std::tuple<const TileProgram*, int> key{program,
                                                 static_cast<int>(math)};
+  auto& specs = std::get<ServiceShared::SpecCache<T>>(s.specs);
   std::lock_guard<std::mutex> lock(s.cache_mu);
-  auto it = s.specs_f.find(key);
-  if (it == s.specs_f.end()) {
-    it = s.specs_f
-             .emplace(key, std::make_unique<SpecializedProgram<float>>(
-                               *program, math))
-             .first;
-  }
-  return it->second.get();
-}
-
-template <>
-const SpecializedProgram<double>* cached_spec<double>(
-    ServiceShared& s, const TileProgram* program, MathMode math) {
-  const std::tuple<const TileProgram*, int> key{program,
-                                                static_cast<int>(math)};
-  std::lock_guard<std::mutex> lock(s.cache_mu);
-  auto it = s.specs_d.find(key);
-  if (it == s.specs_d.end()) {
-    it = s.specs_d
-             .emplace(key, std::make_unique<SpecializedProgram<double>>(
-                               *program, math))
+  auto it = specs.find(key);
+  if (it == specs.end()) {
+    it = specs
+             .emplace(key,
+                      std::make_unique<SpecializedProgram<T>>(*program, math))
              .first;
   }
   return it->second.get();
 }
 
 template <typename T>
-void bind_plan(Slot& slot, const ChunkExecPlan<T>& plan);
-
-template <>
-void bind_plan<float>(Slot& slot, const ChunkExecPlan<float>& plan) {
-  slot.mode = Slot::Mode::kChunkF32;
-  slot.plan_f = plan;
+constexpr Slot::Elem elem_of() {
+  return std::is_same_v<T, double> ? Slot::Elem::kFp64 : Slot::Elem::kFp32;
 }
 
-template <>
-void bind_plan<double>(Slot& slot, const ChunkExecPlan<double>& plan) {
-  slot.mode = Slot::Mode::kChunkF64;
-  slot.plan_d = plan;
+/// Resolves a chunk-lane plan on the submitting thread, so every
+/// precondition failure surfaces there: the cached tile program, the plan
+/// (plan_chunk_exec for a batch stored as T, plan_chunk_exec_mixed for
+/// 16-bit words in `storage` format), and the cached specialization.
+template <typename T, typename S>
+ChunkExecPlan<T> resolve_chunk_plan(ServiceShared& s,
+                                    const BatchLayout& layout, const S* data,
+                                    const CpuFactorOptions& options,
+                                    const TileProgram* program,
+                                    StoragePrec storage) {
+  const TileProgram* prog = program;
+  if (prog == nullptr && options.unroll == Unroll::kPartial) {
+    prog = cached_program(s, layout.n(), std::min(options.nb, layout.n()),
+                          options.looking);
+  }
+  ChunkExecPlan<T> plan;
+  if constexpr (std::is_same_v<S, T>) {
+    plan = plan_chunk_exec<T>(layout, data, prog, options);
+  } else {
+    plan = plan_chunk_exec_mixed(layout, prog, options, storage);
+  }
+  if (plan.needs_spec_program()) {
+    plan.spec = cached_spec<T>(s, prog, options.math);
+  }
+  note_exec_dispatch(plan.exec);
+  return plan;
 }
 
 }  // namespace
 
-template <typename T>
-FactorFuture BatchService::submit(const BatchLayout& layout,
-                                  std::span<T> data,
-                                  const CpuFactorOptions& options,
-                                  std::span<std::int32_t> info,
-                                  const TileProgram* program,
-                                  const SubmitOptions& sopts) {
+template <typename Bind>
+FactorFuture BatchService::enqueue(const BatchLayout& layout, void* data,
+                                   std::size_t data_elems,
+                                   std::span<std::int32_t> info,
+                                   const SubmitOptions& sopts,
+                                   std::int64_t num_units, Bind&& bind) {
   ServiceShared& s = *shared_;
   IBCHOL_CHECK(!s.stop.load(std::memory_order_acquire),
-               "submit() on a service being destroyed");
-  IBCHOL_CHECK(data.size() >= layout.size_elems(),
+               "submit on a service being destroyed");
+  IBCHOL_CHECK(data_elems >= layout.size_elems(),
                "data span too small for layout " + layout.to_string());
   IBCHOL_CHECK(info.empty() ||
                    info.size() >= static_cast<std::size_t>(layout.batch()),
                "info span too small for batch");
   IBCHOL_CHECK(sopts.timeout_ns >= 0, "negative submit timeout");
-  IBCHOL_CHECK(sopts.storage == StoragePrec::kFp32,
-               "reduced-precision batches go through submit_mixed");
-
-  // Resolve the full execution plan before touching the pool, so every
-  // precondition failure surfaces here, on the submitting thread.
-  ChunkExecPlan<T> plan;
-  std::int64_t num_units;
-  const bool canonical = layout.kind() == LayoutKind::kCanonical;
-  if (canonical) {
-    num_units = (layout.batch() + detail::kCanonicalUnit - 1) /
-                detail::kCanonicalUnit;
-    IBCHOL_COUNT("cpu.exec.canonical", 1);
-  } else {
-    const TileProgram* prog = program;
-    if (prog == nullptr && options.unroll == Unroll::kPartial) {
-      prog = cached_program(s, layout.n(),
-                            std::min(options.nb, layout.n()),
-                            options.looking);
-    }
-    plan = plan_chunk_exec<T>(layout, data.data(), prog, options);
-    if (plan.needs_spec_program()) {
-      plan.spec = cached_spec<T>(s, prog, options.math);
-    }
-    note_exec_dispatch(plan.exec);
-    num_units = plan.num_units;
-  }
   IBCHOL_CHECK(num_units < kMaxUnits,
                "batch too large for one request; split it");
 
@@ -1602,16 +1443,9 @@ FactorFuture BatchService::submit(const BatchLayout& layout,
     return FactorFuture::overloaded();
   }
   Slot& slot = *s.slots[idx];
-  if (canonical) {
-    slot.mode = std::is_same_v<T, float> ? Slot::Mode::kCanonF32
-                                         : Slot::Mode::kCanonF64;
-  } else {
-    bind_plan<T>(slot, plan);
-  }
+  bind(slot);
   slot.layout = layout;
-  slot.nb = options.nb;
-  slot.triangle = options.triangle;
-  slot.data = data.data();
+  slot.data = data;
   slot.info = info.empty() ? nullptr : info.data();
   slot.info_size = info.empty() ? 0 : info.size();
   slot.num_units = num_units;
@@ -1644,6 +1478,38 @@ FactorFuture BatchService::submit(const BatchLayout& layout,
   }
   detail::notify_work(s);
   return FactorFuture(shared_, idx);
+}
+
+template <typename T>
+FactorFuture BatchService::submit(const BatchLayout& layout,
+                                  std::span<T> data,
+                                  const CpuFactorOptions& options,
+                                  std::span<std::int32_t> info,
+                                  const TileProgram* program,
+                                  const SubmitOptions& sopts) {
+  IBCHOL_CHECK(sopts.storage == StoragePrec::kFp32,
+               "reduced-precision batches go through submit_mixed");
+  const bool canonical = layout.kind() == LayoutKind::kCanonical;
+  ChunkExecPlan<T> plan;
+  std::int64_t num_units;
+  if (canonical) {
+    num_units =
+        (layout.batch() + detail::kCanonicalUnit - 1) / detail::kCanonicalUnit;
+    IBCHOL_COUNT("cpu.exec.canonical", 1);
+  } else {
+    plan = resolve_chunk_plan<T>(*shared_, layout, data.data(), options,
+                                 program, sopts.storage);
+    num_units = plan.num_units;
+  }
+  return enqueue(layout, data.data(), data.size(), info, sopts, num_units,
+                 [&](Slot& slot) {
+                   slot.lane = canonical ? Slot::Lane::kCanonical
+                                         : Slot::Lane::kChunk;
+                   slot.elem = elem_of<T>();
+                   std::get<ChunkExecPlan<T>>(slot.plans) = plan;
+                   slot.nb = options.nb;
+                   slot.triangle = options.triangle;
+                 });
 }
 
 template <typename T>
@@ -1714,15 +1580,6 @@ FactorFuture BatchService::submit_tiled(const BatchLayout& layout,
                                         const TiledOptions& topts,
                                         std::span<std::int32_t> info,
                                         const SubmitOptions& sopts) {
-  ServiceShared& s = *shared_;
-  IBCHOL_CHECK(!s.stop.load(std::memory_order_acquire),
-               "submit_tiled() on a service being destroyed");
-  IBCHOL_CHECK(data.size() >= layout.size_elems(),
-               "data span too small for layout " + layout.to_string());
-  IBCHOL_CHECK(info.empty() ||
-                   info.size() >= static_cast<std::size_t>(layout.batch()),
-               "info span too small for batch");
-  IBCHOL_CHECK(sopts.timeout_ns >= 0, "negative submit timeout");
   IBCHOL_CHECK(!sopts.screen, "tiled requests do not support screening");
   IBCHOL_CHECK(sopts.storage == StoragePrec::kFp32,
                "tiled requests store full-precision elements");
@@ -1731,64 +1588,16 @@ FactorFuture BatchService::submit_tiled(const BatchLayout& layout,
   const int n = layout.n();
   const int nb = topts.nb > 0 ? topts.nb
                               : tiled::recommended_nb(n, sizeof(T));
-  const tiled::DagSpec* spec = cached_dag(s, n, nb, topts.lookahead);
-  const std::int64_t num_units = layout.batch() * spec->tasks_per_matrix;
-  IBCHOL_CHECK(num_units < kMaxUnits,
-               "tiled batch too large for one request; split it");
-
-  std::uint32_t idx;
-  if (!detail::admit_slot(s, idx)) {
-    IBCHOL_COUNT("svc.shed", 1);
-    if (!info.empty()) {
-      std::fill_n(info.data(),
-                  std::min<std::size_t>(
-                      info.size(),
-                      static_cast<std::size_t>(layout.batch())),
-                  kInfoNotExecuted);
-    }
-    return FactorFuture::overloaded();
-  }
-  Slot& slot = *s.slots[idx];
-  slot.mode = std::is_same_v<T, float> ? Slot::Mode::kTiledF32
-                                       : Slot::Mode::kTiledF64;
-  slot.dag = spec;
-  slot.layout = layout;
-  slot.nb = spec->nb;
-  slot.triangle = Triangle::kLower;
-  slot.data = data.data();
-  slot.info = info.empty() ? nullptr : info.data();
-  slot.info_size = info.empty() ? 0 : info.size();
-  slot.num_units = num_units;
-  slot.submit_ns = obs::now_ns();
-  slot.deadline_ns =
-      sopts.timeout_ns > 0
-          ? slot.submit_ns + static_cast<std::uint64_t>(sopts.timeout_ns)
-          : 0;
-  slot.screen = false;
-  slot.seq = s.seq.fetch_add(1, std::memory_order_relaxed);
-  slot.status.store(static_cast<int>(RequestStatus::kQueued),
-                    std::memory_order_relaxed);
-  slot.remaining.store(num_units, std::memory_order_relaxed);
-  slot.failed.store(0, std::memory_order_relaxed);
-  slot.first_failed.store(detail::kNotSeen, std::memory_order_relaxed);
-  slot.aborted.store(false, std::memory_order_relaxed);
-  slot.quarantined.store(false, std::memory_order_relaxed);
-  slot.refs.store(2, std::memory_order_relaxed);  // exec side + future
-  {
-    std::lock_guard<std::mutex> lock(slot.mu);
-    slot.completed = false;
-    slot.recovery = RecoveryReport{};
-  }
-
-  s.inflight.fetch_add(1, std::memory_order_acq_rel);
-  IBCHOL_COUNT("svc.submitted", 1);
-  IBCHOL_COUNT("tiled.submitted", 1);
-  auto& queue = sopts.priority > 0 ? *s.submissions_hi : *s.submissions;
-  while (!queue.try_push(idx)) {
-    std::this_thread::yield();  // capacity == slots: effectively immediate
-  }
-  detail::notify_work(s);
-  return FactorFuture(shared_, idx);
+  const tiled::DagSpec* spec = cached_dag(*shared_, n, nb, topts.lookahead);
+  return enqueue(layout, data.data(), data.size(), info, sopts,
+                 layout.batch() * spec->tasks_per_matrix, [&](Slot& slot) {
+                   slot.lane = Slot::Lane::kTiled;
+                   slot.elem = elem_of<T>();
+                   slot.dag = spec;
+                   slot.nb = spec->nb;
+                   slot.triangle = Triangle::kLower;
+                   IBCHOL_COUNT("tiled.submitted", 1);
+                 });
 }
 
 template <typename T>
@@ -1805,88 +1614,24 @@ FactorFuture BatchService::submit_mixed(const BatchLayout& layout,
                                         std::span<std::int32_t> info,
                                         const TileProgram* program,
                                         const SubmitOptions& sopts) {
-  ServiceShared& s = *shared_;
-  IBCHOL_CHECK(!s.stop.load(std::memory_order_acquire),
-               "submit_mixed() on a service being destroyed");
   IBCHOL_CHECK(layout.kind() != LayoutKind::kCanonical,
                "reduced-precision storage runs interleaved layouts");
   IBCHOL_CHECK(sopts.storage != StoragePrec::kFp32,
                "submit_mixed needs SubmitOptions::storage = kBf16 or kFp16");
-  IBCHOL_CHECK(data.size() >= layout.size_elems(),
-               "data span too small for layout " + layout.to_string());
-  IBCHOL_CHECK(info.empty() ||
-                   info.size() >= static_cast<std::size_t>(layout.batch()),
-               "info span too small for batch");
-  IBCHOL_CHECK(sopts.timeout_ns >= 0, "negative submit timeout");
-
-  // Plan resolution on the submitting thread, as in submit<T>. The plan
-  // is a mixed fp32 plan: conversion tier and storage format travel in it.
-  const TileProgram* prog = program;
-  if (prog == nullptr && options.unroll == Unroll::kPartial) {
-    prog = cached_program(s, layout.n(), std::min(options.nb, layout.n()),
-                          options.looking);
-  }
-  ChunkExecPlan<float> plan =
-      plan_chunk_exec_mixed(layout, prog, options, sopts.storage);
-  if (plan.needs_spec_program()) {
-    plan.spec = cached_spec<float>(s, prog, options.math);
-  }
-  note_exec_dispatch(plan.exec);
-  const std::int64_t num_units = plan.num_units;
-  IBCHOL_CHECK(num_units < kMaxUnits,
-               "batch too large for one request; split it");
-
-  std::uint32_t idx;
-  if (!detail::admit_slot(s, idx)) {
-    IBCHOL_COUNT("svc.shed", 1);
-    if (!info.empty()) {
-      std::fill_n(info.data(),
-                  std::min<std::size_t>(
-                      info.size(),
-                      static_cast<std::size_t>(layout.batch())),
-                  kInfoNotExecuted);
-    }
-    return FactorFuture::overloaded();
-  }
-  Slot& slot = *s.slots[idx];
-  slot.mode = Slot::Mode::kChunkMixed;
-  slot.plan_f = plan;
-  slot.layout = layout;
-  slot.nb = options.nb;
-  slot.triangle = options.triangle;
-  slot.data = data.data();
-  slot.info = info.empty() ? nullptr : info.data();
-  slot.info_size = info.empty() ? 0 : info.size();
-  slot.num_units = num_units;
-  slot.submit_ns = obs::now_ns();
-  slot.deadline_ns =
-      sopts.timeout_ns > 0
-          ? slot.submit_ns + static_cast<std::uint64_t>(sopts.timeout_ns)
-          : 0;
-  slot.screen = sopts.screen;
-  slot.seq = s.seq.fetch_add(1, std::memory_order_relaxed);
-  slot.status.store(static_cast<int>(RequestStatus::kQueued),
-                    std::memory_order_relaxed);
-  slot.remaining.store(num_units, std::memory_order_relaxed);
-  slot.failed.store(0, std::memory_order_relaxed);
-  slot.first_failed.store(detail::kNotSeen, std::memory_order_relaxed);
-  slot.aborted.store(false, std::memory_order_relaxed);
-  slot.quarantined.store(false, std::memory_order_relaxed);
-  slot.refs.store(2, std::memory_order_relaxed);  // exec side + future
-  {
-    std::lock_guard<std::mutex> lock(slot.mu);
-    slot.completed = false;
-    slot.recovery = RecoveryReport{};
-  }
-
-  s.inflight.fetch_add(1, std::memory_order_acq_rel);
-  IBCHOL_COUNT("svc.submitted", 1);
-  auto& queue = sopts.priority > 0 ? *s.submissions_hi : *s.submissions;
-  while (!queue.try_push(idx)) {
-    std::this_thread::yield();
-  }
-  detail::notify_work(s);
-  return FactorFuture(shared_, idx);
+  // The plan is a mixed fp32 plan: conversion tier and storage format
+  // travel in it.
+  const ChunkExecPlan<float> plan = resolve_chunk_plan<float>(
+      *shared_, layout, data.data(), options, program, sopts.storage);
+  return enqueue(layout, data.data(), data.size(), info, sopts,
+                 plan.num_units, [&](Slot& slot) {
+                   slot.lane = Slot::Lane::kChunk;
+                   slot.elem = sopts.storage == StoragePrec::kBf16
+                                   ? Slot::Elem::kBf16
+                                   : Slot::Elem::kFp16;
+                   std::get<ChunkExecPlan<float>>(slot.plans) = plan;
+                   slot.nb = options.nb;
+                   slot.triangle = options.triangle;
+                 });
 }
 
 FactorResult BatchService::factor_mixed(const BatchLayout& layout,

@@ -389,6 +389,16 @@ class BatchService {
   static BatchService& global();
 
  private:
+  /// The one request path behind every submit* front end: the shared
+  /// argument checks, admission (shedding per ServicePolicy), slot reset,
+  /// sequence number, queue push and wake-up. `bind` writes the
+  /// lane-specific slot fields once a slot is admitted.
+  template <typename Bind>
+  FactorFuture enqueue(const BatchLayout& layout, void* data,
+                       std::size_t data_elems, std::span<std::int32_t> info,
+                       const SubmitOptions& sopts, std::int64_t num_units,
+                       Bind&& bind);
+
   std::shared_ptr<detail::ServiceShared> shared_;
 };
 

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "core/batch_cholesky.hpp"
@@ -36,10 +37,15 @@ struct MixedFixture {
 
   MixedFixture(int n_in, std::int64_t batch_in, StoragePrec prec_in,
                double condition = 50.0)
-      : n(n_in),
-        batch(batch_in),
+      : MixedFixture(BatchLayout::interleaved_chunked(n_in, batch_in, 32),
+                     prec_in, condition) {}
+
+  MixedFixture(const BatchLayout& layout_in, StoragePrec prec_in,
+               double condition = 50.0)
+      : n(layout_in.n()),
+        batch(layout_in.batch()),
         prec(prec_in),
-        layout(BatchLayout::interleaved_chunked(n, batch, 32)) {
+        layout(layout_in) {
     fp32.resize(layout.size_elems());
     SpdOptions gen;
     gen.kind = SpdKind::kControlledCondition;
@@ -302,27 +308,43 @@ TEST(MixedPrec, RecoverScreensAndHealsMixedBatch) {
 // ----------------------------------------------------------- service ----
 
 // submit_mixed through the pool is bit-identical to the synchronous
-// factor_batch_cpu_mixed, for both formats.
+// factor_batch_cpu_mixed, for both formats, both interleaved layouts and
+// every executor, with maximal stealing (grain 1) across four workers.
 TEST(ServiceMixed, SubmitMixedBitIdenticalToSynchronous) {
-  svc::ServiceOptions sopts;
-  sopts.num_threads = 2;
-  svc::BatchService service(sopts);
-  for (StoragePrec prec : {StoragePrec::kBf16, StoragePrec::kFp16}) {
-    MixedFixture f(16, kBatch, prec);
-    AlignedBuffer<std::uint16_t> expect(f.layout.size_elems());
-    std::copy(f.u16.begin(), f.u16.end(), expect.begin());
-    ASSERT_TRUE(
-        factor_batch_cpu_mixed(f.layout, expect.span(), prec, {}).ok());
+  svc::BatchService service({.num_threads = 4, .steal_grain = 1});
+  const BatchLayout layouts[] = {BatchLayout::interleaved(16, kBatch),
+                                 BatchLayout::interleaved_chunked(16, kBatch,
+                                                                  32)};
+  for (const BatchLayout& layout : layouts) {
+    for (CpuExec exec : {CpuExec::kInterpreter, CpuExec::kSpecialized,
+                         CpuExec::kVectorized}) {
+      CpuFactorOptions opt;
+      opt.exec = exec;
+      // 64-lane units: several per batch, so the range really splits.
+      opt.chunk_size = 64;
+      for (StoragePrec prec : {StoragePrec::kBf16, StoragePrec::kFp16}) {
+        SCOPED_TRACE(layout.to_string() + " " + to_string(exec) + " " +
+                     to_string(prec));
+        MixedFixture f(layout, prec);
+        AlignedBuffer<std::uint16_t> expect(f.layout.size_elems());
+        std::copy(f.u16.begin(), f.u16.end(), expect.begin());
+        ASSERT_TRUE(
+            factor_batch_cpu_mixed(f.layout, expect.span(), prec, opt).ok());
 
-    svc::SubmitOptions so;
-    so.storage = prec;
-    svc::FactorFuture fut =
-        service.submit_mixed(f.layout, f.u16.span(), {}, {}, nullptr, so);
-    const FactorResult res = fut.wait();
-    EXPECT_TRUE(res.ok());
-    EXPECT_EQ(fut.status(), svc::RequestStatus::kDone);
-    for (std::size_t i = 0; i < expect.size(); ++i) {
-      ASSERT_EQ(f.u16[i], expect[i]) << to_string(prec) << " elem " << i;
+        svc::SubmitOptions so;
+        so.storage = prec;
+        svc::FactorFuture fut = service.submit_mixed(f.layout, f.u16.span(),
+                                                     opt, {}, nullptr, so);
+        const FactorResult res = fut.wait();
+        EXPECT_TRUE(res.ok());
+        EXPECT_EQ(fut.status(), svc::RequestStatus::kDone);
+        for (std::size_t i = 0; i < expect.size(); ++i) {
+          ASSERT_EQ(f.u16[i], expect[i]) << to_string(prec) << " elem " << i;
+        }
+        EXPECT_EQ(std::memcmp(f.u16.data(), expect.data(),
+                              expect.size() * sizeof(std::uint16_t)),
+                  0);
+      }
     }
   }
 }

@@ -175,6 +175,37 @@ TEST(ServiceAdmission, RejectPolicyShedsWhenPoolIsFull) {
                         before.size() * sizeof(float)),
             0);
   for (const std::int32_t v : w.info) EXPECT_EQ(v, kInfoNotExecuted);
+
+  // The reduced-precision and tiled front ends shed through the same
+  // admission path: kOverloaded, data untouched, info kInfoNotExecuted.
+  {
+    std::vector<std::uint16_t> words(small.size_elems());
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      words[i] = static_cast<std::uint16_t>(0x3F80u + i % 64);  // bf16 ~1
+    }
+    const std::vector<std::uint16_t> words_before = words;
+    std::vector<std::int32_t> info(static_cast<std::size_t>(small.batch()),
+                                   -7);
+    SubmitOptions so;
+    so.storage = StoragePrec::kBf16;
+    FactorFuture fm = service.submit_mixed(small, std::span(words), {}, info,
+                                           nullptr, so);
+    EXPECT_EQ(fm.status(), RequestStatus::kOverloaded);
+    EXPECT_EQ(words, words_before);
+    for (const std::int32_t v : info) EXPECT_EQ(v, kInfoNotExecuted);
+  }
+  {
+    const BatchLayout large = BatchLayout::interleaved(96, 2);
+    Workload<float> t(large);
+    std::vector<float> t_before(t.data.span().begin(), t.data.span().end());
+    FactorFuture ft = service.submit_tiled<float>(large, t.data.span(), {},
+                                                  t.info);
+    EXPECT_EQ(ft.status(), RequestStatus::kOverloaded);
+    EXPECT_EQ(std::memcmp(t.data.span().data(), t_before.data(),
+                          t_before.size() * sizeof(float)),
+              0);
+    for (const std::int32_t v : t.info) EXPECT_EQ(v, kInfoNotExecuted);
+  }
   EXPECT_EQ(f_big.wait().failed_count, 0);
 
   // With the pool free again, the same submit is admitted and runs.
@@ -297,6 +328,30 @@ TEST(ServiceChaos, AllocFailureAbortsRequestNotService) {
   const ArenaStats stats = service.arena_stats();
   EXPECT_GT(stats.failed_allocs, 0u);
   EXPECT_EQ(stats.live_leases, 0u);
+
+  // A bf16 request (always staged through fp32 scratch) aborts the same
+  // way: kResourceExhausted, words untouched, no lease left behind.
+  {
+    std::vector<std::uint16_t> words(layout.size_elems());
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      words[i] = static_cast<std::uint16_t>(0x3F80u + i % 64);  // bf16 ~1
+    }
+    const std::vector<std::uint16_t> words_before = words;
+    std::vector<std::int32_t> info(static_cast<std::size_t>(layout.batch()),
+                                   -7);
+    SubmitOptions so;
+    so.storage = StoragePrec::kBf16;
+    chaos::SvcChaosPlan plan;
+    plan.alloc_fail_rate = 1.0;
+    ScopedChaos chaos_guard(plan);
+    FactorFuture f = service.submit_mixed(layout, std::span(words), options,
+                                          info, nullptr, so);
+    (void)f.wait();
+    EXPECT_EQ(f.status(), RequestStatus::kResourceExhausted);
+    EXPECT_EQ(words, words_before);
+    for (const std::int32_t v : info) EXPECT_EQ(v, kInfoNotExecuted);
+    EXPECT_EQ(service.arena_stats().live_leases, 0u);
+  }
 
   // The service survived: the same request now runs clean.
   Workload<float> reference(layout);
