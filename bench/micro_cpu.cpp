@@ -222,10 +222,10 @@ BENCHMARK(BM_FactorMixed)
 
 // ------------------------------------------------------------ layout -----
 
-void BM_ConvertCanonicalToChunked(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const auto from = BatchLayout::canonical(n, kBatch);
-  const auto to = BatchLayout::interleaved_chunked(n, kBatch, 64);
+/// Converts a kBatch batch from `from` to `to`; bytes processed count the
+/// read and the written matrices, as perfbench's layout.convert_gbps does.
+void run_convert(benchmark::State& state, const BatchLayout& from,
+                 const BatchLayout& to) {
   AlignedBuffer<float> src(from.size_elems());
   generate_spd_batch<float>(from, src.span());
   AlignedBuffer<float> dst(to.size_elems());
@@ -233,11 +233,26 @@ void BM_ConvertCanonicalToChunked(benchmark::State& state) {
     convert_layout<float>(from, std::span<const float>(src.span()), to,
                           dst.span());
     benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
   }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          from.size_elems() * sizeof(float));
+  const int n = from.n();
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
+                          n * n * kBatch * sizeof(float));
 }
-BENCHMARK(BM_ConvertCanonicalToChunked)->Arg(8)->Arg(32)->ArgName("n");
+
+void BM_ConvertCanonicalToChunked(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  run_convert(state, BatchLayout::canonical(n, kBatch),
+              BatchLayout::interleaved_chunked(n, kBatch, 64));
+}
+BENCHMARK(BM_ConvertCanonicalToChunked)->Arg(8)->Arg(24)->Arg(64)->ArgName("n");
+
+void BM_ConvertChunkedToCanonical(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  run_convert(state, BatchLayout::interleaved_chunked(n, kBatch, 64),
+              BatchLayout::canonical(n, kBatch));
+}
+BENCHMARK(BM_ConvertChunkedToCanonical)->Arg(8)->Arg(24)->Arg(64)->ArgName("n");
 
 // ------------------------------------------------------------- solve -----
 

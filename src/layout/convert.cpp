@@ -1,5 +1,8 @@
 #include "layout/convert.hpp"
 
+#include <algorithm>
+#include <cstdint>
+
 namespace ibchol {
 
 namespace {
@@ -10,6 +13,81 @@ void check_span(const BatchLayout& layout, std::size_t got) {
                "data span too small for layout " + layout.to_string());
 }
 
+/// Matrices per lane block: one 64-byte cache line of lanes. Chunks are
+/// multiples of the warp size, so an aligned block never straddles a chunk.
+template <typename T>
+constexpr int kLanes = 64 / static_cast<int>(sizeof(T));
+static_assert(kWarpSize % kLanes<float> == 0 &&
+              kWarpSize % kLanes<double> == 0);
+
+/// Moves one lane block of `lanes` matrices. On each side, element e of
+/// lane l sits at e·es + l·ls: (1, n²) for a canonical side, (C, 1) for an
+/// interleaved one, so each side walks its unit stride along e or along l.
+/// The block moves through kLanes×kLanes tiles: a tile is read along the
+/// source's unit stride into `tile` (kept in source order) and written
+/// along the destination's, so every load and store covers whole lines.
+template <typename T, bool kSrcCanonical, bool kDstCanonical>
+void convert_block(const T* __restrict src, std::size_t src_chunk,
+                   T* __restrict dst, std::size_t dst_chunk, std::size_t nn,
+                   int lanes) {
+  constexpr int kL = kLanes<T>;
+  const std::size_t ses = kSrcCanonical ? 1 : src_chunk;
+  const std::size_t sls = kSrcCanonical ? nn : 1;
+  const std::size_t des = kDstCanonical ? 1 : dst_chunk;
+  const std::size_t dls = kDstCanonical ? nn : 1;
+  alignas(64) T tile[kL][kL] = {};
+  const auto at = [&tile](std::size_t e, int l) -> T& {
+    return kSrcCanonical ? tile[l][e] : tile[e][l];
+  };
+  const auto move = [&](const T* s, T* d, std::size_t elems, int count) {
+    if constexpr (kSrcCanonical) {
+      for (int l = 0; l < count; ++l)
+        for (std::size_t e = 0; e < elems; ++e) at(e, l) = s[e + l * sls];
+    } else {
+      for (std::size_t e = 0; e < elems; ++e)
+        for (int l = 0; l < count; ++l) at(e, l) = s[e * ses + l];
+    }
+    if constexpr (kDstCanonical) {
+      for (int l = 0; l < count; ++l)
+        for (std::size_t e = 0; e < elems; ++e) d[e + l * dls] = at(e, l);
+    } else {
+      for (std::size_t e = 0; e < elems; ++e)
+        for (int l = 0; l < count; ++l) d[e * des + l] = at(e, l);
+    }
+  };
+  for (std::size_t e0 = 0; e0 < nn; e0 += kL) {
+    const std::size_t elems = std::min<std::size_t>(kL, nn - e0);
+    // Full tiles take the compile-time bounds; the batch's and the
+    // matrix's tails take the same loops with runtime bounds.
+    if (elems == kL && lanes == kL) {
+      move(src + e0 * ses, dst + e0 * des, kL, kL);
+    } else {
+      move(src + e0 * ses, dst + e0 * des, elems, lanes);
+    }
+  }
+}
+
+/// Converts the whole batch block by block, in parallel over blocks. A
+/// block's first element sits at the layout's index of (b0, 0, 0).
+template <typename T, bool kSrcCanonical, bool kDstCanonical>
+void convert_blocks(const BatchLayout& from, const T* src,
+                    const BatchLayout& to, T* dst) {
+  const auto nn = static_cast<std::size_t>(from.n()) * from.n();
+  const std::int64_t batch = from.batch();
+  const std::int64_t blocks = (batch + kLanes<T> - 1) / kLanes<T>;
+  const auto src_chunk = static_cast<std::size_t>(from.element_stride());
+  const auto dst_chunk = static_cast<std::size_t>(to.element_stride());
+#pragma omp parallel for schedule(static)
+  for (std::int64_t k = 0; k < blocks; ++k) {
+    const std::int64_t b0 = k * kLanes<T>;
+    const auto lanes =
+        static_cast<int>(std::min<std::int64_t>(kLanes<T>, batch - b0));
+    convert_block<T, kSrcCanonical, kDstCanonical>(
+        src + from.index(b0, 0, 0), src_chunk, dst + to.index(b0, 0, 0),
+        dst_chunk, nn, lanes);
+  }
+}
+
 }  // namespace
 
 template <typename T>
@@ -18,18 +96,21 @@ void convert_layout(const BatchLayout& from, std::span<const T> src,
   IBCHOL_CHECK(from.same_shape(to), "layout conversion requires equal shapes");
   check_span<T>(from, src.size());
   check_span<T>(to, dst.size());
-  IBCHOL_CHECK(static_cast<const void*>(src.data()) !=
-                   static_cast<const void*>(dst.data()),
-               "layout conversion requires distinct buffers");
-  const int n = from.n();
-  const std::int64_t batch = from.batch();
-#pragma omp parallel for schedule(static)
-  for (std::int64_t b = 0; b < batch; ++b) {
-    for (int j = 0; j < n; ++j) {
-      for (int i = 0; i < n; ++i) {
-        dst[to.index(b, i, j)] = src[from.index(b, i, j)];
-      }
-    }
+  const auto s0 = reinterpret_cast<std::uintptr_t>(src.data());
+  const auto d0 = reinterpret_cast<std::uintptr_t>(dst.data());
+  IBCHOL_CHECK(s0 + from.size_elems() * sizeof(T) <= d0 ||
+                   d0 + to.size_elems() * sizeof(T) <= s0,
+               "layout conversion requires non-overlapping buffers");
+  const bool src_canonical = from.kind() == LayoutKind::kCanonical;
+  const bool dst_canonical = to.kind() == LayoutKind::kCanonical;
+  if (src_canonical && dst_canonical) {
+    convert_blocks<T, true, true>(from, src.data(), to, dst.data());
+  } else if (src_canonical) {
+    convert_blocks<T, true, false>(from, src.data(), to, dst.data());
+  } else if (dst_canonical) {
+    convert_blocks<T, false, true>(from, src.data(), to, dst.data());
+  } else {
+    convert_blocks<T, false, false>(from, src.data(), to, dst.data());
   }
   fill_padding_identity(to, dst);
 }

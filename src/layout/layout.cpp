@@ -1,8 +1,29 @@
 #include "layout/layout.hpp"
 
+#include <cstddef>
+#include <limits>
 #include <sstream>
 
 namespace ibchol {
+
+namespace {
+
+/// round_up(batch, m), throwing where the padded count would overflow.
+std::int64_t padded_count(std::int64_t batch, std::int64_t m) {
+  IBCHOL_CHECK(batch <= std::numeric_limits<std::int64_t>::max() - (m - 1),
+               "batch count overflows when padded");
+  return round_up(batch, m);
+}
+
+/// Throws unless n² · matrices elements are addressable, so size_elems()
+/// and every index() fit in std::size_t and std::ptrdiff_t.
+void check_extent(int n, std::int64_t matrices) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::ptrdiff_t>::max();
+  IBCHOL_CHECK(matrices <= kMax / n / n,
+               "batch element count overflows the address space");
+}
+
+}  // namespace
 
 std::string to_string(LayoutKind kind) {
   switch (kind) {
@@ -16,6 +37,7 @@ std::string to_string(LayoutKind kind) {
 BatchLayout BatchLayout::canonical(int n, std::int64_t batch) {
   IBCHOL_CHECK(n > 0, "matrix dimension must be positive");
   IBCHOL_CHECK(batch > 0, "batch count must be positive");
+  check_extent(n, batch);
   return BatchLayout(LayoutKind::kCanonical, n, batch, /*chunk=*/1,
                      /*padded_batch=*/batch);
 }
@@ -23,7 +45,8 @@ BatchLayout BatchLayout::canonical(int n, std::int64_t batch) {
 BatchLayout BatchLayout::interleaved(int n, std::int64_t batch) {
   IBCHOL_CHECK(n > 0, "matrix dimension must be positive");
   IBCHOL_CHECK(batch > 0, "batch count must be positive");
-  const std::int64_t padded = round_up(batch, kWarpSize);
+  const std::int64_t padded = padded_count(batch, kWarpSize);
+  check_extent(n, padded);
   return BatchLayout(LayoutKind::kInterleaved, n, batch, /*chunk=*/padded,
                      padded);
 }
@@ -34,7 +57,8 @@ BatchLayout BatchLayout::interleaved_chunked(int n, std::int64_t batch,
   IBCHOL_CHECK(batch > 0, "batch count must be positive");
   IBCHOL_CHECK(chunk > 0 && chunk % kWarpSize == 0,
                "chunk size must be a positive multiple of the warp size");
-  const std::int64_t padded = round_up(batch, chunk);
+  const std::int64_t padded = padded_count(batch, chunk);
+  check_extent(n, padded);
   return BatchLayout(LayoutKind::kInterleavedChunked, n, batch, chunk, padded);
 }
 

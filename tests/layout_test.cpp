@@ -1,7 +1,14 @@
 // Tests for src/layout: index maps, padding, strides, conversions.
 #include <gtest/gtest.h>
+#include <omp.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "layout/convert.hpp"
@@ -48,6 +55,26 @@ TEST(Layout, RejectsInvalidShapes) {
   EXPECT_THROW((void)BatchLayout::canonical(4, 0), Error);
   EXPECT_THROW((void)BatchLayout::interleaved_chunked(4, 10, 48), Error);
   EXPECT_THROW((void)BatchLayout::interleaved_chunked(4, 10, 0), Error);
+}
+
+TEST(Layout, RejectsOverflowingShapes) {
+  constexpr std::int64_t kHuge = std::int64_t{1} << 33;
+  EXPECT_THROW((void)BatchLayout::canonical(65536, kHuge), Error);
+  EXPECT_THROW((void)BatchLayout::interleaved(65536, kHuge), Error);
+  EXPECT_THROW((void)BatchLayout::interleaved_chunked(65536, kHuge, 64),
+               Error);
+  // round_up(batch, chunk) itself would overflow.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_THROW((void)BatchLayout::interleaved(1, kMax), Error);
+  EXPECT_THROW((void)BatchLayout::interleaved_chunked(1, kMax - 10, 64),
+               Error);
+  // The element-count limit is exact: n² · matrices up to PTRDIFF_MAX.
+  constexpr std::int64_t kFit = std::numeric_limits<std::ptrdiff_t>::max() / 4;
+  EXPECT_EQ(BatchLayout::canonical(2, kFit).size_elems(),
+            static_cast<std::size_t>(kFit) * 4u);
+  EXPECT_THROW((void)BatchLayout::canonical(2, kFit + 1), Error);
+  EXPECT_EQ(BatchLayout::canonical(1, kMax).size_elems(),
+            static_cast<std::size_t>(kMax));
 }
 
 // ----------------------------------------------------------- index maps --
@@ -242,6 +269,33 @@ TEST(Convert, RejectsAliasedBuffers) {
       Error);
 }
 
+TEST(Convert, RejectsPartiallyOverlappingBuffers) {
+  const auto canon = BatchLayout::canonical(4, 32);
+  const auto inter = BatchLayout::interleaved(4, 32);
+  std::vector<float> buf(2 * canon.size_elems() + 1);
+  const std::span<const float> src(buf.data(), canon.size_elems());
+  // dst one element past src, and src one element past dst.
+  EXPECT_THROW(convert_layout<float>(
+                   canon, src, inter,
+                   std::span<float>(buf.data() + 1, inter.size_elems())),
+               Error);
+  EXPECT_THROW(convert_layout<float>(
+                   canon, std::span<const float>(buf.data() + 1,
+                                                 canon.size_elems()),
+                   inter, std::span<float>(buf.data(), inter.size_elems())),
+               Error);
+  // dst overlapping only src's last element.
+  EXPECT_THROW(convert_layout<float>(
+                   canon, src, inter,
+                   std::span<float>(buf.data() + canon.size_elems() - 1,
+                                    inter.size_elems())),
+               Error);
+  // Adjacent but disjoint ranges convert.
+  EXPECT_NO_THROW(convert_layout<float>(
+      canon, src, inter,
+      std::span<float>(buf.data() + canon.size_elems(), inter.size_elems())));
+}
+
 TEST(Convert, ExtractInsertRoundTrip) {
   const auto l = BatchLayout::interleaved_chunked(4, 50, 32);
   std::vector<double> data(l.size_elems());
@@ -260,6 +314,164 @@ TEST(Convert, ExtractRejectsOutOfRange) {
   EXPECT_THROW(extract_matrix<float>(l, data, 10, out), Error);
   EXPECT_THROW(extract_matrix<float>(l, data, -1, out), Error);
 }
+
+// ------------------------------------------------ conversion oracle --
+//
+// Checks every conversion element by element against the index maps (a
+// round trip would hide a permutation that the reverse conversion undoes).
+
+/// Matrices per conversion lane block for element type T.
+template <typename T>
+constexpr int kLaneBlock = 64 / static_cast<int>(sizeof(T));
+
+constexpr int kOracleChunks[] = {32, 64, 96, 512};
+
+using OracleParam = std::tuple<int, int, std::int64_t>;  // elem bytes, n, batch
+
+template <typename T>
+using Bits = std::conditional_t<sizeof(T) == 4, std::uint32_t, std::uint64_t>;
+
+template <typename T>
+Bits<T> bits_of(T v) {
+  Bits<T> b{};
+  std::memcpy(&b, &v, sizeof(T));
+  return b;
+}
+
+template <typename T>
+T from_bits(Bits<T> b) {
+  T v{};
+  std::memcpy(&v, &b, sizeof(T));
+  return v;
+}
+
+std::vector<BatchLayout> oracle_layouts(int n, std::int64_t batch) {
+  std::vector<BatchLayout> ls{BatchLayout::canonical(n, batch),
+                              BatchLayout::interleaved(n, batch)};
+  for (int c : kOracleChunks) {
+    ls.push_back(BatchLayout::interleaved_chunked(n, batch, c));
+  }
+  return ls;
+}
+
+constexpr std::size_t kGuard = 67;  ///< elements checked past size_elems()
+
+/// Converts `from` → `to` at `threads` threads into `dst` (refilled with a
+/// sentinel first) and returns the first discrepancy with the index-map
+/// oracle, or "" when there is none.
+template <typename T>
+std::string oracle_check(const BatchLayout& from, const BatchLayout& to,
+                         const std::vector<T>& src, std::vector<T>& dst,
+                         int threads) {
+  const Bits<T> sentinel = static_cast<Bits<T>>(0xA5A5A5A5A5A5A5A5ULL);
+  std::fill(dst.begin(), dst.begin() + to.size_elems() + kGuard,
+            from_bits<T>(sentinel));
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(threads);
+  convert_layout<T>(from, std::span<const T>(src.data(), from.size_elems()),
+                    to, std::span<T>(dst.data(), to.size_elems()));
+  omp_set_num_threads(saved);
+
+  const std::string where =
+      from.to_string() + " -> " + to.to_string() + " at " +
+      std::to_string(threads) + " threads: ";
+  const int n = from.n();
+  for (std::int64_t b = 0; b < to.padded_batch(); ++b) {
+    for (int j = 0; j < n; ++j) {
+      for (int i = 0; i < n; ++i) {
+        const T* got = &dst[to.index(b, i, j)];
+        const T pad = i == j ? T{1} : T{0};
+        const T* want = b < from.batch() ? &src[from.index(b, i, j)] : &pad;
+        if (std::memcmp(got, want, sizeof(T)) != 0) {
+          return where + "matrix " + std::to_string(b) + " (" +
+                 std::to_string(i) + ", " + std::to_string(j) + ")";
+        }
+      }
+    }
+  }
+  for (std::size_t k = to.size_elems(); k < to.size_elems() + kGuard; ++k) {
+    if (bits_of(dst[k]) != sentinel) {
+      return where + "guard element " + std::to_string(k) + " written";
+    }
+  }
+  return "";
+}
+
+template <typename T>
+void run_oracle(int n, std::int64_t batch) {
+  const std::vector<BatchLayout> layouts = oracle_layouts(n, batch);
+  std::size_t largest = 0;
+  for (const auto& l : layouts) largest = std::max(largest, l.size_elems());
+  // Random bit patterns (NaN payloads included), plus -0 and quiet and
+  // signalling NaNs with payloads at fixed positions.
+  std::mt19937_64 rng(static_cast<std::uint64_t>(n) * 1000003u +
+                      static_cast<std::uint64_t>(batch));
+  std::vector<T> src(largest);
+  for (auto& v : src) v = from_bits<T>(static_cast<Bits<T>>(rng()));
+  const T qnan = std::numeric_limits<T>::quiet_NaN();
+  const T specials[] = {T{-0.0}, qnan, std::numeric_limits<T>::signaling_NaN(),
+                        from_bits<T>(bits_of(qnan) | 0x2b)};
+  for (std::size_t k = 0; k < src.size(); k += 7) {
+    src[k] = specials[(k / 7) % std::size(specials)];
+  }
+  const std::vector<T> pristine = src;
+  std::vector<T> dst(largest + kGuard);
+  std::vector<int> thread_counts{1};
+  if (omp_get_max_threads() > 1) thread_counts.push_back(omp_get_max_threads());
+  for (const auto& from : layouts) {
+    for (const auto& to : layouts) {
+      for (int threads : thread_counts) {
+        const std::string err = oracle_check<T>(from, to, src, dst, threads);
+        ASSERT_TRUE(err.empty()) << err;
+      }
+    }
+  }
+  EXPECT_EQ(std::memcmp(src.data(), pristine.data(), src.size() * sizeof(T)),
+            0)
+      << "conversion modified its source";
+}
+
+class ConvertOracle : public ::testing::TestWithParam<OracleParam> {};
+
+TEST_P(ConvertOracle, EveryElementMatchesIndexMap) {
+  const auto [bytes, n, batch] = GetParam();
+  if (bytes == 4) {
+    run_oracle<float>(n, batch);
+  } else {
+    run_oracle<double>(n, batch);
+  }
+}
+
+template <typename T>
+std::vector<OracleParam> oracle_params() {
+  constexpr int kL = kLaneBlock<T>;
+  std::vector<std::int64_t> batches{1, kL - 1, kL + 1, 31, 33, 100};
+  for (int c : kOracleChunks) batches.push_back(2 * c - 1);
+  std::vector<OracleParam> ps;
+  for (int n : {1, 2, 3, 5, 8, 17, 64}) {
+    for (std::int64_t b : batches) {
+      ps.emplace_back(static_cast<int>(sizeof(T)), n, b);
+    }
+  }
+  return ps;
+}
+
+std::vector<OracleParam> all_oracle_params() {
+  std::vector<OracleParam> ps = oracle_params<float>();
+  const std::vector<OracleParam> d = oracle_params<double>();
+  ps.insert(ps.end(), d.begin(), d.end());
+  return ps;
+}
+
+std::string oracle_name(const ::testing::TestParamInfo<OracleParam>& info) {
+  const auto [bytes, n, batch] = info.param;
+  return std::string(bytes == 4 ? "f32" : "f64") + "_n" + std::to_string(n) +
+         "_b" + std::to_string(batch);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, ConvertOracle,
+                         ::testing::ValuesIn(all_oracle_params()),
+                         oracle_name);
 
 // --------------------------------------------------------- vector layout --
 
